@@ -10,24 +10,21 @@ failure. Exit codes: 0 ok, 2 invalid config, 3 computation failed, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .biphoton import apply_vertex, edge_momentum_map, entropy_scan, input_state
-from .cavity import (
-    BubbleTable,
-    hopfield_branches,
-    self_energy_spectrum,
-    spectral_map,
-)
+from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import COMMANDS, RunConfig, load_config
-from .dressing import dressed_bands, sigma_matrix
+from .dressing import dressed_band_sweep
 from .errors import BelowThresholdError, CavitySshError, ConfigInvalidError
-from .keldysh import keldysh_green, occupation, retarded_green
+from .keldysh import keldysh_map
 from .kerr import kerr_scan
 from .lattice import band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase
 from .output import write_csv, write_manifest, write_matrix_csv
@@ -41,6 +38,17 @@ _KERNEL_NOTE = (
     "stationary-phase Gaussian kernel in q*(omega) coordinates; q* clamps "
     "to 0 below the band edge"
 )
+
+
+def _grid_rows(omega_grid, q_grid, *columns):
+    """Rows (omega, q, *values), omega outer and q inner, from (n_omega, n_q)
+    arrays; the omega and q cells share one float object per grid point."""
+    qs = q_grid.values.tolist()
+    rows = []
+    for omega, *values in zip(omega_grid.values.tolist(),
+                              *(column.tolist() for column in columns)):
+        rows.extend(zip(itertools.repeat(omega), qs, *values))
+    return rows
 
 
 def _run_bands(cfg: RunConfig, threads: int, log):
@@ -80,12 +88,7 @@ def _run_spectrum(cfg: RunConfig, threads: int, log):
     smap = spectral_map(
         cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
     )
-    omegas = cfg.omega_grid.values
-    qs = cfg.q_grid.values
-    rows = []
-    for i in range(cfg.omega_grid.count):
-        for j in range(cfg.q_grid.count):
-            rows.append((float(omegas[i]), float(qs[j]), float(smap.values[i, j])))
+    rows = _grid_rows(cfg.omega_grid, cfg.q_grid, smap.values)
     emissions = [("csv", "spectrum.csv", "omega,q,A", rows)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
@@ -217,18 +220,13 @@ def _run_schmidt_scan(cfg: RunConfig, threads: int, log):
 
 
 def _run_dressed_bands(cfg: RunConfig, threads: int, log):
-    ks = np.linspace(-np.pi, np.pi, cfg.params["n_points"])
-    onshell = cfg.params["onshell"]
-    rows = []
-    for k in ks:
-        k = float(k)
-        omega = 0.5 * float(band_gap(k, cfg.model)) if onshell else cfg.params["omega"]
-        matrix = sigma_matrix(k, omega, cfg.model, cfg.cavity)
-        bands = dressed_bands(k, omega, cfg.model, cfg.cavity)
-        rows.append(
-            (k, omega, matrix.sigma_cv.real, matrix.sigma_cv.imag,
-             bands.e_plus, bands.e_minus)
-        )
+    sweep = dressed_band_sweep(
+        np.linspace(-np.pi, np.pi, cfg.params["n_points"]), cfg.model, cfg.cavity,
+        onshell=cfg.params["onshell"], omega=cfg.params["omega"],
+    )
+    columns = (sweep.k, sweep.omega, sweep.sigma_cv.real, sweep.sigma_cv.imag,
+               sweep.e_plus, sweep.e_minus)
+    rows = list(zip(*(column.tolist() for column in columns)))
     emissions = [("csv", "dressed_bands.csv", "k,omega,ReScv,ImScv,Eplus,Eminus", rows)]
     meta = {"mu_factorization": "mu(k,q) = mu(k); photon momentum enters only "
                                 "through the cavity branch"}
@@ -236,23 +234,13 @@ def _run_dressed_bands(cfg: RunConfig, threads: int, log):
 
 
 def _run_keldysh(cfg: RunConfig, threads: int, log):
-    table = BubbleTable(cfg.model, cfg.cavity.eta, cfg.n_k)
-    gsq = cfg.cavity.g**2
-    rows = []
-    for w in cfg.omega_grid.values:
-        w = float(w)
-        sigma = gsq * table.integral(w)
-        for q in cfg.q_grid.values:
-            q = float(q)
-            g_r = retarded_green(w, q, cfg.model, cfg.cavity, cfg.n_k, sigma=sigma)
-            g_k = keldysh_green(
-                w, q, cfg.model, cfg.cavity, cfg.thermal, cfg.n_k, sigma=sigma
-            )
-            a = -g_r.imag / np.pi
-            n = occupation(
-                w, q, cfg.model, cfg.cavity, cfg.thermal, cfg.n_k, sigma=sigma
-            )
-            rows.append((w, q, g_k.real, g_k.imag, a, n))
+    kmap = keldysh_map(
+        cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.thermal, cfg.n_k
+    )
+    rows = _grid_rows(
+        cfg.omega_grid, cfg.q_grid, kmap.g_keldysh.real, kmap.g_keldysh.imag,
+        kmap.spectral, kmap.occupation,
+    )
     emissions = [("csv", "keldysh.csv", "omega,q,ReGK,ImGK,A,n", rows)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
@@ -337,8 +325,14 @@ def main(argv=None) -> int:
 
     try:
         emissions, convergence, metadata = _HANDLERS[args.command](cfg, args.threads, log)
-    except CavitySshError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # library errors are expected; anything else (MemoryError from an
+        # oversized grid, say) still ends as exit 3 with a manifest
+        if isinstance(exc, CavitySshError):
+            print(f"computation failed: {exc}", file=sys.stderr)
+        else:
+            print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
         try:
             emit_manifest(
                 [], {"completed": False}, {},

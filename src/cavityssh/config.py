@@ -8,6 +8,7 @@ in the tree are rejected, so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -75,10 +76,20 @@ def _number(mapping: dict, key: str, where: str, default=None) -> float:
         if default is None:
             raise ConfigInvalidError(f"{where}.{key} is required")
         return float(default)
-    value = mapping[key]
+    return _finite(mapping[key], f"{where}.{key}")
+
+
+def _finite(value, where: str) -> float:
+    """A JSON number as a float; bools, strings and NaN/Infinity are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalidError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+        raise ConfigInvalidError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigInvalidError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(mapping: dict, key: str, where: str, default=None) -> int:
@@ -107,12 +118,7 @@ def _number_list(mapping: dict, key: str, where: str) -> list[float]:
     value = mapping[key]
     if not isinstance(value, list) or not value:
         raise ConfigInvalidError(f"{where}.{key} must be a nonempty array")
-    out = []
-    for i, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigInvalidError(f"{where}.{key}[{i}] must be a number, got {entry!r}")
-        out.append(float(entry))
-    return out
+    return [_finite(entry, f"{where}.{key}[{i}]") for i, entry in enumerate(value)]
 
 
 def _grid(mapping: dict, key: str, where: str) -> FrequencyGrid | None:

@@ -9,6 +9,7 @@ dressed gap 2 sqrt((Delta/2)^2 + |Sigma_cv|^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,16 @@ class DressedBands:
 
     e_minus: float
     e_plus: float
+
+
+class DressedBandSweep(NamedTuple):
+    """Per-momentum columns of a dressed-band sweep, each of length len(k)."""
+
+    k: np.ndarray
+    omega: np.ndarray
+    sigma_cv: np.ndarray
+    e_plus: np.ndarray
+    e_minus: np.ndarray
 
 
 def bare_photon_green(omega: float, c: CavityParams) -> complex:
@@ -141,9 +152,35 @@ def lamb_shift(
     return float(c.g**2 * mu * mu * pv)
 
 
+def _dressed_radius(gap: float, sigma_cv: complex) -> float:
+    return float(np.sqrt((0.5 * gap) ** 2 + abs(sigma_cv) ** 2))
+
+
 def dressed_bands(k: float, omega: float, p: SshParams, c: CavityParams) -> DressedBands:
     """Eigenvalues of the dressed interband block at (k, omega)."""
-    gap = band_gap(k, p)
-    sigma_cv = sigma_matrix(k, omega, p, c).sigma_cv
-    radius = float(np.sqrt((0.5 * gap) ** 2 + abs(sigma_cv) ** 2))
+    radius = _dressed_radius(band_gap(k, p), sigma_matrix(k, omega, p, c).sigma_cv)
     return DressedBands(e_minus=-radius, e_plus=radius)
+
+
+def dressed_band_sweep(
+    ks, p: SshParams, c: CavityParams, onshell: bool = True, omega: float = 0.0
+) -> DressedBandSweep:
+    """Sigma_cv and the dressed bands at each k, bit for bit sigma_matrix and
+    dressed_bands per point.
+
+    The gap and the dipole are evaluated once on the whole k array (the
+    elementwise results equal the scalar calls). `onshell` probes each k at
+    omega = Delta(k)/2, otherwise every k at the fixed `omega`.
+    """
+    ks = np.asarray(ks, dtype=float)
+    gaps = np.asarray(band_gap(ks, p)).tolist()
+    mus = np.asarray(dipole(ks, p)).tolist()
+    omegas, sigmas, radii = [], [], []
+    for gap, mu in zip(gaps, mus):
+        w = 0.5 * gap if onshell else omega
+        sigma_cv = c.g**2 * mu * mu * bare_photon_green(w - gap, c)
+        omegas.append(w)
+        sigmas.append(sigma_cv)
+        radii.append(_dressed_radius(gap, sigma_cv))
+    e_plus = np.array(radii)
+    return DressedBandSweep(ks, np.array(omegas), np.array(sigmas), e_plus, -e_plus)

@@ -7,9 +7,12 @@ fixed order, so identical config + version means identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+
+import numpy as np
 
 
 def format_cell(value) -> str:
@@ -23,24 +26,53 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# "%.17g" % x equals format(x, ".17g") for every float, nan, inf and -0.0
+# included, but not for ints >= 1e17 or np.bool_, so only rows made of these
+# two types take the template
+_FLOAT_TYPES = frozenset((float, np.float64))
+_BLOCK_LINES = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _float_template(width: int) -> str:
+    """"%.17g,...,%.17g" with `width` fields: format_cell's join for float cells."""
+    return ",".join(["%.17g"] * width)
+
+
+def _format_row(row) -> str:
+    if _FLOAT_TYPES.issuperset(map(type, row)):
+        return _float_template(len(row)) % tuple(row)
+    return ",".join(format_cell(cell) for cell in row)
+
+
 def write_csv(path: str, header: str, rows) -> None:
     """Write `header` then one comma-joined line per row ("\n" endings)."""
     lines = [header]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
+    lines.extend(map(_format_row, rows))
+    _write_lines(path, lines)
 
 
 def write_matrix_csv(path: str, comment: str, matrix) -> None:
-    """Dump a dense matrix with a single self-describing comment line on top."""
+    """Dump a dense matrix with a single self-describing comment line on top.
+
+    Every cell prints as format_cell(float(cell)). Rows are converted one at
+    a time, so no second copy of the whole matrix is held.
+    """
     lines = [f"# {comment}"]
-    lines.extend(
-        ",".join(format_cell(float(cell)) for cell in row) for row in matrix
-    )
+    for row in matrix:
+        cells = tuple(np.asarray(row, dtype=float).tolist())
+        lines.append(_float_template(len(cells)) % cells)
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write each line plus "\n". The lines are formatted before the file is
+    opened, so a formatting error leaves no partial file; they are joined a
+    block at a time, so the whole text is never held as one more string."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
+        for start in range(0, len(lines), _BLOCK_LINES):
+            handle.write("\n".join(lines[start:start + _BLOCK_LINES]))
+            handle.write("\n")
 
 
 def sha256_of(path: str) -> str:

@@ -7,7 +7,20 @@ import os
 import numpy as np
 import pytest
 
-from cavityssh import ConfigInvalidError, __version__
+from cavityssh import (
+    CavityParams,
+    ConfigInvalidError,
+    SshParams,
+    ThermalState,
+    __version__,
+    band_gap,
+    dressed_bands,
+    keldysh_green,
+    occupation,
+    retarded_green,
+    sigma_matrix,
+)
+from cavityssh import cli
 from cavityssh.cli import main
 from cavityssh.config import COMMANDS, parse_config
 from cavityssh.output import format_cell, write_csv
@@ -25,6 +38,19 @@ SPECTRUM_DOC = {
         "n_k": 512,
         "omega": {"start": 0.7, "stop": 1.3, "count": 24},
         "q": {"start": -1.0, "stop": 1.0, "count": 9},
+    },
+}
+
+
+KELDYSH_DOC = {
+    "command": "keldysh",
+    "model": {"t1": 1.0, "t2": 1.5},
+    "cavity": {"omega_c": 1.0, "mass_beta": 0.5, "g": 1.0, "eta": 0.01},
+    "thermal": {"temperature": 0.1},
+    "grids": {
+        "n_k": 512,
+        "omega": {"start": 0.6, "stop": 1.5, "count": 7},
+        "q": {"start": -1.0, "stop": 2.0, "count": 5},
     },
 }
 
@@ -211,6 +237,49 @@ def test_spectrum_rows_are_row_major_in_omega(tmp_path):
     assert np.all(np.diff(table["q"][:9]) > 0)
 
 
+def format_cell_csv(header, rows):
+    lines = [header] + [",".join(format_cell(cell) for cell in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_keldysh_csv_equals_the_pointwise_rows(tmp_path):
+    code, out_dir = run_cli(tmp_path, KELDYSH_DOC, "keldysh")
+    assert code == 0
+    p, th = SshParams(1.0, 1.5), ThermalState(0.1)
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=0.01)
+    rows = []
+    for w in np.linspace(0.6, 1.5, 7):
+        for q in np.linspace(-1.0, 2.0, 5):
+            w, q = float(w), float(q)
+            g_k = keldysh_green(w, q, p, c, th, n_k=512)
+            a = -retarded_green(w, q, p, c, n_k=512).imag / np.pi
+            rows.append((w, q, g_k.real, g_k.imag, a, occupation(w, q, p, c, th, n_k=512)))
+    expected = format_cell_csv("omega,q,ReGK,ImGK,A,n", rows)
+    assert (out_dir / "keldysh.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("onshell", [True, False])
+def test_dressed_bands_csv_equals_the_pointwise_rows(tmp_path, onshell):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"omega_c": 1.0, "mass_beta": 0.5, "g": 1.0, "eta": 0.01},
+        "params": {"n_points": 33, "onshell": onshell, "omega": 0.4},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "dressed-bands")
+    assert code == 0
+    p = SshParams(1.0, 0.5)
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=0.01)
+    rows = []
+    for k in np.linspace(-np.pi, np.pi, 33):
+        k = float(k)
+        omega = 0.5 * float(band_gap(k, p)) if onshell else 0.4
+        sigma_cv = sigma_matrix(k, omega, p, c).sigma_cv
+        bands = dressed_bands(k, omega, p, c)
+        rows.append((k, omega, sigma_cv.real, sigma_cv.imag, bands.e_plus, bands.e_minus))
+    expected = format_cell_csv("k,omega,ReScv,ImScv,Eplus,Eminus", rows)
+    assert (out_dir / "dressed_bands.csv").read_bytes() == expected
+
+
 def test_saddle_below_threshold_rows_marked(tmp_path):
     doc = {
         "model": {"t1": 1.0, "t2": 0.5},
@@ -250,6 +319,65 @@ def test_compute_failure_exits_3_with_error_manifest(tmp_path):
     manifest = read_manifest(out_dir)
     assert manifest["error"]["type"] == "CriticalPointError"
     assert manifest["outputs"] == []
+
+
+def test_infinite_hopping_exits_2(tmp_path, capsys):
+    config = tmp_path / "inf.json"
+    config.write_text('{"command": "dressed-bands", "model": {"t1": 1.0, "t2": Infinity}}')
+    out_dir = tmp_path / "out"
+    assert main(["dressed-bands", "--config", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model.t2 must be a finite number" in err
+    assert not out_dir.exists()
+
+
+def test_infinite_temperature_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(KELDYSH_DOC))
+    doc["thermal"]["temperature"] = float("inf")  # json.dumps writes Infinity
+    code, out_dir = run_cli(tmp_path, doc, "keldysh")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: thermal.temperature must be a finite number" in err
+    assert not out_dir.exists()
+
+
+def test_nonfinite_list_entry_exits_2(tmp_path, capsys):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"mass_beta": 0.5, "g": 0.01, "eta": 0.001},
+        "params": {"r_values": [0.5, float("nan")]},
+    }
+    code, _ = run_cli(tmp_path, doc, "kerr-scan")
+    assert code == 2
+    assert "params.r_values[1] must be a finite number" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_3_with_error_manifest(tmp_path):
+    # numpy refuses the 2000001^2 kernel (29 TiB) before allocating it
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "kernel": {"v0": 1.0, "zeta": 1.0},
+        "grids": {"n_k2d": 2000000, "omega": {"start": 0.6, "stop": 1.4, "count": 4}},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "vertex")
+    assert code == 3
+    manifest = read_manifest(out_dir)
+    assert manifest["error"]["type"] == "MemoryError"
+    assert "Unable to allocate" in manifest["error"]["message"]
+    assert manifest["outputs"] == []
+    assert manifest["convergence"] == {"completed": False}
+    assert os.listdir(out_dir) == ["manifest.json"]
+
+
+def test_unexpected_handler_exception_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(cfg, threads, log):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "bands", broken)
+    code, out_dir = run_cli(tmp_path, BANDS_DOC, "bands")
+    assert code == 3
+    assert read_manifest(out_dir)["error"] == {"type": "RuntimeError", "message": "handler bug"}
+    assert "RuntimeError: handler bug" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

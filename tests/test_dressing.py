@@ -13,6 +13,7 @@ from cavityssh import (
     band_gap,
     bare_photon_green,
     dipole,
+    dressed_band_sweep,
     dressed_bands,
     lamb_shift,
     sigma_band,
@@ -177,3 +178,19 @@ def test_interband_mixing_is_perturbative_at_figure_coupling():
             for omega in (float(e_c), 0.0):
                 entry = sigma_matrix(float(k), omega, p, c)
                 assert abs(entry.sigma_cv) / gap < 1e-2
+
+
+@pytest.mark.parametrize("p", [TRIVIAL, TOPO])
+@pytest.mark.parametrize("onshell", [True, False])
+def test_dressed_band_sweep_matches_pointwise_functions_bit_for_bit(p, onshell):
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
+    ks = np.linspace(-np.pi, np.pi, 257)
+    sweep = dressed_band_sweep(ks, p, c, onshell=onshell, omega=0.3)
+    for i, k in enumerate(ks.tolist()):
+        omega = 0.5 * float(band_gap(k, p)) if onshell else 0.3
+        entry = sigma_matrix(k, omega, p, c)
+        bands = dressed_bands(k, omega, p, c)
+        got = (sweep.k[i], sweep.omega[i], sweep.sigma_cv[i], sweep.e_plus[i], sweep.e_minus[i])
+        expected = (k, omega, entry.sigma_cv, bands.e_plus, bands.e_minus)
+        for a, b in zip(got, expected):
+            assert np.array_equal(np.atleast_1d(a).view(np.int64), np.atleast_1d(b).view(np.int64))

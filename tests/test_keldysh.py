@@ -5,6 +5,7 @@ import pytest
 
 from cavityssh import (
     CavityParams,
+    FrequencyGrid,
     NonPositiveFrequencyError,
     SshParams,
     ThermalState,
@@ -12,6 +13,7 @@ from cavityssh import (
     bose_occupation,
     dressed_propagator,
     keldysh_green,
+    keldysh_map,
     keldysh_self_energy,
     occupation,
     photon_self_energy,
@@ -149,3 +151,43 @@ def test_occupation_rejects_unphysical_self_energy():
     # a positive-imaginary sigma flips Im G^R and must be refused, not averaged
     with pytest.raises(ZeroSpectralWeightError):
         occupation(2.2, 0.0, TOPO, PINNED, WARM, n_k=512, sigma=0.0 + 2e-3j)
+
+
+def same_bits(got, expected):
+    """Equal including the sign of zero and the nan payload."""
+    return np.array_equal(
+        np.atleast_1d(got).view(np.int64), np.atleast_1d(expected).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("p", [SshParams(1.0, 0.5), TOPO])
+@pytest.mark.parametrize("th", [COLD, ThermalState(temperature=0.1)])
+def test_keldysh_map_matches_pointwise_functions_bit_for_bit(p, th):
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
+    omega_grid = FrequencyGrid(0.6, 2.6, 9)
+    q_grid = FrequencyGrid(-1.0, 2.0, 5)  # asymmetric: A is even in q
+    kmap = keldysh_map(omega_grid, q_grid, p, c, th, n_k=512)
+    assert kmap.g_keldysh.shape == kmap.spectral.shape == kmap.occupation.shape == (9, 5)
+    for i, w in enumerate(omega_grid.values.tolist()):
+        for j, q in enumerate(q_grid.values.tolist()):
+            assert same_bits(kmap.g_keldysh[i, j], keldysh_green(w, q, p, c, th, n_k=512))
+            g_r = retarded_green(w, q, p, c, n_k=512)
+            assert same_bits(kmap.spectral[i, j], -g_r.imag / np.pi)
+            assert same_bits(kmap.spectral[i, j], spectral_function(w, q, p, c, n_k=512))
+            assert same_bits(kmap.occupation[i, j], occupation(w, q, p, c, th, n_k=512))
+
+
+def test_keldysh_map_refuses_vanishing_spectral_weight():
+    # at q ~ 1e100 Im G^R underflows to -0.0: the sweep refuses it like occupation
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
+    q_grid = FrequencyGrid(0.0, 1e100, 2)
+    with pytest.raises(ZeroSpectralWeightError):
+        occupation(1.0, 1e100, TOPO, c, WARM, n_k=256)
+    with pytest.raises(ZeroSpectralWeightError):
+        keldysh_map(FrequencyGrid(0.8, 1.2, 3), q_grid, TOPO, c, WARM, n_k=256)
+
+
+def test_keldysh_map_keeps_the_positive_frequency_check():
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
+    with pytest.raises(NonPositiveFrequencyError):
+        keldysh_map(FrequencyGrid(0.0, 1.0, 3), FrequencyGrid(0.0, 1.0, 2), TOPO, c, WARM, n_k=256)
