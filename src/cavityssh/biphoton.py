@@ -137,6 +137,36 @@ def edge_momentum_map(omegas: np.ndarray, edge: BandEdgeParams) -> np.ndarray:
     return np.sqrt(np.clip(radicand, 0.0, None))
 
 
+def scattered_pair(
+    pump: BiphotonState, zeta: float, edge: BandEdgeParams, v0: float = 1.0
+) -> tuple[BiphotonState, EntropyScanRow]:
+    """Output state for one kernel range and its Schmidt summary.
+
+    The vertex is modeled as v0 exp(-zeta (q*(w1) - q*(w2))^2) in the
+    band-edge momentum coordinates (frequencies below the edge map to q* = 0,
+    where the kernel saturates). The geometric character of the resulting
+    spectrum is summarized by a log-linear fit of the leading four weights:
+    reported ratio exp(slope) and its R^2.
+    """
+    zeta = float(zeta)
+    if zeta < 0:
+        raise ValueError(f"zeta must be >= 0, got {zeta}")
+    qstar = edge_momentum_map(pump.grid.values, edge)
+    out = apply_vertex(pump, v0 * np.exp(-zeta * (qstar[:, None] - qstar[None, :]) ** 2))
+    spectrum = schmidt_decompose(out)
+    leading = tuple(float(x) for x in spectrum.coefficients[:4])
+    ratio_fit, fit_r2 = _geometric_fit(np.asarray(leading))
+    row = EntropyScanRow(
+        zeta=zeta,
+        entropy_nats=spectrum.entropy_nats,
+        entropy_bits=spectrum.entropy_bits,
+        leading=leading,
+        ratio_fit=ratio_fit,
+        fit_r2=fit_r2,
+    )
+    return out, row
+
+
 def entropy_scan(
     zeta_values,
     grid: FrequencyGrid,
@@ -145,37 +175,10 @@ def entropy_scan(
     edge: BandEdgeParams,
     v0: float = 1.0,
 ) -> list[EntropyScanRow]:
-    """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel.
-
-    For each zeta the vertex is modeled as v0 exp(-zeta (q*(w1) - q*(w2))^2)
-    in the band-edge momentum coordinates (frequencies below the edge map to
-    q* = 0, where the kernel saturates). The geometric character of the
-    resulting spectrum is summarized by a log-linear fit of the leading four
-    weights: reported ratio exp(slope) and its R^2.
-    """
+    """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel:
+    one `scattered_pair` row per zeta, all from the same Gaussian pump."""
     pump = input_state(grid, omega0, sigma)
-    qstar = edge_momentum_map(grid.values, edge)
-    rows: list[EntropyScanRow] = []
-    for zeta in zeta_values:
-        zeta = float(zeta)
-        if zeta < 0:
-            raise ValueError(f"zeta must be >= 0, got {zeta}")
-        kernel = v0 * np.exp(-zeta * (qstar[:, None] - qstar[None, :]) ** 2)
-        out = apply_vertex(pump, kernel)
-        spectrum = schmidt_decompose(out)
-        leading = tuple(float(x) for x in spectrum.coefficients[:4])
-        ratio_fit, fit_r2 = _geometric_fit(np.asarray(leading))
-        rows.append(
-            EntropyScanRow(
-                zeta=zeta,
-                entropy_nats=spectrum.entropy_nats,
-                entropy_bits=spectrum.entropy_bits,
-                leading=leading,
-                ratio_fit=ratio_fit,
-                fit_r2=fit_r2,
-            )
-        )
-    return rows
+    return [scattered_pair(pump, zeta, edge, v0)[1] for zeta in zeta_values]
 
 
 def _geometric_fit(leading: np.ndarray) -> tuple[float, float]:

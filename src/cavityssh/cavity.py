@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError
 from .lattice import SshParams, band_gap, dipole
-from .numerics import DEFAULT_NK, MIN_NK, FrequencyGrid, ComplexSpectrum, pairwise_sum
+from .numerics import DEFAULT_NK, ComplexSpectrum, FrequencyGrid, pairwise_sum, zone_trapezoid
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,34 @@ class SpectralMap:
 
 
 class BubbleTable:
-    """Precomputed zone samples so repeated bubble evaluations share one grid.
+    """The Brillouin zone of the interband bubble, built once per (p, eta, n_k).
 
-    Reductions reproduce bz_integrate bit for bit: identical nodes, identical
-    trapezoid weights, identical pairwise summation order.
+    Holds the trapezoid nodes, the gap Delta(k) and the weighted |mu(k)|^2 at
+    each node; the self-energy, the Kerr ladder and the vertex all sum over it.
+    It is bz_integrate's zone (`zone_trapezoid`) with the same pairwise
+    summation order; the weight multiplies |mu|^2 before the division, so a
+    sum agrees with bz_integrate of the same integrand up to rounding.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int = DEFAULT_NK):
-        if n_k < MIN_NK:
-            raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
-        nodes = np.linspace(-np.pi, np.pi, n_k + 1)
-        h = 2.0 * np.pi / n_k
-        weights = np.full(n_k + 1, h)
-        weights[0] = weights[-1] = 0.5 * h
+        self.nodes, weights = zone_trapezoid(n_k)
         self.eta = float(eta)
-        self.delta = np.asarray(band_gap(nodes, p))
-        self.weighted_mu2 = weights * np.asarray(dipole(nodes, p)) ** 2
+        self.delta = np.asarray(band_gap(self.nodes, p))
+        self.weighted_mu2 = weights * np.asarray(dipole(self.nodes, p)) ** 2
 
-    def integral(self, omega: complex, power: int = 1) -> complex:
-        """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power."""
+    def samples(self, omega: complex, power: int = 1) -> np.ndarray:
+        """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power."""
         denom = omega - self.delta + 1j * self.eta
         if power != 1:
             denom = denom**power
         samples = self.weighted_mu2 / denom
         if not np.all(np.isfinite(samples)):
             raise NonFiniteSampleError("bubble integrand produced nan/inf")
-        return complex(pairwise_sum(samples) / (2.0 * np.pi))
+        return samples
+
+    def integral(self, omega: complex, power: int = 1) -> complex:
+        """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power."""
+        return complex(pairwise_sum(self.samples(omega, power)) / (2.0 * np.pi))
 
 
 def bubble_integral(

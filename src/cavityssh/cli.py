@@ -19,7 +19,7 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .biphoton import apply_vertex, edge_momentum_map, entropy_scan, input_state
+from .biphoton import entropy_scan, input_state, scattered_pair
 from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import COMMANDS, RunConfig, load_config
 from .dressing import dressed_band_sweep
@@ -171,12 +171,6 @@ def _run_saddle(cfg: RunConfig, threads: int, log):
     return emissions, convergence, meta
 
 
-def _biphoton_kernel(cfg: RunConfig, edge):
-    qstar = edge_momentum_map(cfg.omega_grid.values, edge)
-    diff = qstar[:, None] - qstar[None, :]
-    return cfg.kernel.v0 * np.exp(-cfg.kernel.zeta * diff * diff)
-
-
 _SCHMIDT_HEADER = "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,fit_r2"
 
 
@@ -189,22 +183,19 @@ def _scan_rows(rows):
 
 
 def _run_biphoton(cfg: RunConfig, threads: int, log):
-    edge = band_edge_params(cfg.model)
     grid = cfg.omega_grid
     pump = input_state(grid, cfg.params["omega0"], cfg.params["sigma"])
-    out = apply_vertex(pump, _biphoton_kernel(cfg, edge))
-    describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
-    scan = entropy_scan(
-        [cfg.kernel.zeta], grid, cfg.params["omega0"], cfg.params["sigma"],
-        edge, v0=cfg.kernel.v0,
+    out, row = scattered_pair(
+        pump, cfg.kernel.zeta, band_edge_params(cfg.model), v0=cfg.kernel.v0
     )
+    describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     emissions = [
         ("matrix", "biphoton_in.csv", f"|psi_in|^2 on {describe}",
          np.abs(pump.amplitude) ** 2),
         ("matrix", "biphoton_out.csv",
          f"|psi_out|^2 at zeta={format(cfg.kernel.zeta, '.17g')} on {describe}",
          np.abs(out.amplitude) ** 2),
-        ("csv", "schmidt.csv", _SCHMIDT_HEADER, _scan_rows(scan)),
+        ("csv", "schmidt.csv", _SCHMIDT_HEADER, _scan_rows([row])),
     ]
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
 

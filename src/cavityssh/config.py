@@ -16,7 +16,7 @@ from .cavity import CavityParams
 from .errors import ConfigInvalidError
 from .keldysh import ThermalState
 from .lattice import SshParams
-from .numerics import DEFAULT_NK, FrequencyGrid
+from .numerics import DEFAULT_NK, MIN_NK, FrequencyGrid
 from .vertex import DEFAULT_NK2D, InteractionKernel
 
 COMMANDS = (
@@ -92,7 +92,7 @@ def _finite(value, where: str) -> float:
     return number
 
 
-def _integer(mapping: dict, key: str, where: str, default=None) -> int:
+def _integer(mapping: dict, key: str, where: str, default=None, minimum=None) -> int:
     if key not in mapping:
         if default is None:
             raise ConfigInvalidError(f"{where}.{key} is required")
@@ -100,6 +100,8 @@ def _integer(mapping: dict, key: str, where: str, default=None) -> int:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigInvalidError(f"{where}.{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigInvalidError(f"{where}.{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -135,13 +137,22 @@ def _grid(mapping: dict, key: str, where: str) -> FrequencyGrid | None:
         raise ConfigInvalidError(f"{where}.{key}: {exc}") from exc
 
 
-# per-command params schema: key -> (kind, default); default None means required
+def _edge_gap(model: SshParams) -> float:
+    """Direct gap 2|t1 - t2| at the zone edge k = pi."""
+    return 2.0 * abs(model.t1 - model.t2)
+
+
+# per-command params schema: key -> (kind, default); default None means required,
+# a callable default is derived from the parsed (model, cavity)
 _PARAM_SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
     "bands": {"n_points": ("int", 256)},
     "zak": {},
     "self-energy": {},
     "spectrum": {},
-    "hopfield": {"g": ("number", "cavity.g"), "delta_pi": ("number", "gap")},
+    "hopfield": {
+        "g": ("number", lambda model, cavity: cavity.g),
+        "delta_pi": ("number", lambda model, cavity: _edge_gap(model)),
+    },
     "kerr-scan": {"r_values": ("number_list", None), "n_max": ("int", 5)},
     "vertex": {},
     "saddle": {},
@@ -159,20 +170,21 @@ _PARAM_SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
     "keldysh": {},
 }
 
+# smallest accepted integer params: one sample, and three rungs for the quadratic fit
+_INT_MINIMA = {"n_points": 1, "n_max": 2}
+
 
 def _parse_params(section: dict, command: str, model: SshParams, cavity: CavityParams) -> dict:
     schema = _PARAM_SCHEMAS[command]
     _check_keys(section, schema, "params")
     out: dict[str, Any] = {}
     for key, (kind, default) in schema.items():
-        if default == "cavity.g":
-            default = cavity.g
-        elif default == "gap":
-            default = 2.0 * abs(model.t1 - model.t2)
+        if callable(default):
+            default = default(model, cavity)
         if kind == "number":
             out[key] = _number(section, key, "params", default)
         elif kind == "int":
-            out[key] = _integer(section, key, "params", default)
+            out[key] = _integer(section, key, "params", default, _INT_MINIMA.get(key))
         elif kind == "bool":
             out[key] = _boolean(section, key, "params", default)
         elif kind == "number_list":
@@ -210,8 +222,7 @@ def parse_config(document: dict, command: str) -> RunConfig:
     _check_keys(cavity_sec, ("omega_c", "mass_beta", "g", "eta"), "cavity")
     try:
         cavity = CavityParams(
-            omega_c=_number(cavity_sec, "omega_c", "cavity",
-                            2.0 * abs(model.t1 - model.t2)),
+            omega_c=_number(cavity_sec, "omega_c", "cavity", _edge_gap(model)),
             mass_beta=_number(cavity_sec, "mass_beta", "cavity", 0.5),
             g=_number(cavity_sec, "g", "cavity", 1.0),
             eta=_number(cavity_sec, "eta", "cavity", 0.01),
@@ -238,8 +249,8 @@ def parse_config(document: dict, command: str) -> RunConfig:
 
     grids_sec = _require_mapping(root.get("grids", {}), "grids")
     _check_keys(grids_sec, ("n_k", "n_k2d", "omega", "q"), "grids")
-    n_k = _integer(grids_sec, "n_k", "grids", DEFAULT_NK)
-    n_k2d = _integer(grids_sec, "n_k2d", "grids", DEFAULT_NK2D)
+    n_k = _integer(grids_sec, "n_k", "grids", DEFAULT_NK, MIN_NK)
+    n_k2d = _integer(grids_sec, "n_k2d", "grids", DEFAULT_NK2D, MIN_NK)
     omega_grid = _grid(grids_sec, "omega", "grids")
     q_grid = _grid(grids_sec, "q", "grids")
 

@@ -78,7 +78,3 @@ class GridTooNarrowError(CavitySshError):
 
 class ConfigInvalidError(CavitySshError):
     """Run configuration failed validation (CLI exit code 2)."""
-
-
-class ComputationFailedError(CavitySshError):
-    """A requested computation raised downstream (CLI exit code 3)."""

@@ -20,10 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import (
-    BubbleTable,
     CavityParams,
     dressed_propagator,
     photon_self_energy,
+    self_energy_spectrum,
     spectral_function,
 )
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
@@ -38,7 +38,6 @@ __all__ = [
     "keldysh_green",
     "keldysh_map",
     "occupation",
-    "retarded_green",
     "spectral_function",
 ]
 
@@ -112,18 +111,6 @@ def keldysh_self_energy(
     return _sigma_keldysh(photon_self_energy(omega, p, c, n_k), bose_occupation(omega, th))
 
 
-def retarded_green(
-    omega: float,
-    q: float,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int = DEFAULT_NK,
-    sigma: complex | None = None,
-) -> complex:
-    """The retarded propagator; same object as cavity.dressed_propagator."""
-    return dressed_propagator(omega, q, p, c, n_k, sigma=sigma)
-
-
 def keldysh_green(
     omega: float,
     q: float,
@@ -173,19 +160,17 @@ def keldysh_map(
 ) -> KeldyshMap:
     """G^K, A and n on the product grid, bit for bit the per-point functions.
 
-    Per omega: Sigma^R from one shared BubbleTable, one n_B and one Sigma^K;
-    per (omega, q): one G^R, from which G^K, A = -Im G^R / pi and n follow.
-    Raises ZeroSpectralWeightError where Im G^R >= 0, like `occupation`.
+    Per omega: Sigma^R from one `self_energy_spectrum`, one n_B and one
+    Sigma^K; per (omega, q): one G^R, from which G^K, A = -Im G^R / pi and n
+    follow. Raises ZeroSpectralWeightError where Im G^R >= 0, like `occupation`.
     """
-    table = BubbleTable(p, c.eta, n_k)
-    gsq = c.g**2
+    sigmas = self_energy_spectrum(omega_grid, p, c, n_k).samples.tolist()
     qs = q_grid.values.tolist()
     shape = (omega_grid.count, q_grid.count)
     g_keldysh = np.empty(shape, dtype=complex)
     spectral = np.empty(shape, dtype=float)
     occupations = np.empty(shape, dtype=float)
-    for i, omega in enumerate(omega_grid.values.tolist()):
-        sigma = gsq * table.integral(omega)
+    for i, (omega, sigma) in enumerate(zip(omega_grid.values.tolist(), sigmas)):
         sigma_k = _sigma_keldysh(sigma, bose_occupation(omega, th))
         row_gk, row_a, row_n = [], [], []
         for q in qs:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import BubbleTable, CavityParams
+from .cavity import BubbleTable, CavityParams, photon_self_energy
 from .errors import CriticalPointError, NoConvergenceError
 from .lattice import SshParams
 from .numerics import complex_newton, polyfit_quadratic
@@ -76,18 +76,6 @@ def solve_omega_sequence(
     return out
 
 
-def solve_omega_n(
-    n: int,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int = KERR_DEFAULT_NK,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> complex:
-    """Self-consistent n-photon resonance omega_n (continuation from n = 0)."""
-    return complex(solve_omega_sequence(n, p, c, n_k, tol, max_iter)[n])
-
-
 def kerr_from_fit(omega_n: np.ndarray) -> KerrResult:
     """Fit the resonance ladder to omega0 + U n + (1/2) U' n^2 (complex lsq)."""
     omega_n = np.asarray(omega_n, dtype=complex)
@@ -107,12 +95,13 @@ def kerr_from_fit(omega_n: np.ndarray) -> KerrResult:
 def kerr_closed_form(
     p: SshParams, c: CavityParams, n_k: int = KERR_DEFAULT_NK
 ) -> complex:
-    """Weak-coupling Kerr coefficient U = g^2 (1/2pi) int dk |mu|^2/(omega_c - Delta + i eta).
+    """Weak-coupling Kerr coefficient U = Sigma^R(omega_c)
+    = g^2 (1/2pi) int dk |mu|^2/(omega_c - Delta + i eta).
 
     This is d Sigma/d n at the bare resonance: negative real part when the
     cavity is pinned at the band edge (every transition sits above omega_c).
     """
-    return c.g**2 * BubbleTable(p, c.eta, n_k).integral(c.omega_c)
+    return photon_self_energy(c.omega_c, p, c, n_k)
 
 
 def kerr_scan(

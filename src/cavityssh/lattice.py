@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalPointError, GaplessPointError
+from .numerics import MIN_NK
 
 GAPLESS_FLOOR = 1e-12
 
@@ -89,8 +90,8 @@ def zak_phase(p: SshParams, n_k: int = 1024, critical_tol: float = 1e-6) -> floa
     and therefore inside [0, 2pi). A float modulo of the raw sum would not:
     a round-off just below 0 wraps to 2pi - eps, or to 2pi itself.
     """
-    if n_k < 64:
-        raise ValueError(f"n_k must be >= 64, got {n_k}")
+    if n_k < MIN_NK:
+        raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
     if abs(p.ratio - 1.0) < critical_tol:
         raise CriticalPointError(
             f"ratio {p.ratio} within {critical_tol} of the gap closure; Zak phase undefined"

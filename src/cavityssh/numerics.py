@@ -92,20 +92,31 @@ def _check_finite_samples(samples: np.ndarray, what: str) -> None:
         raise NonFiniteSampleError(f"{what}: non-finite sample at flat index {bad}")
 
 
+def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n_k-interval trapezoid rule on the zone [-pi, pi].
+
+    The n_k + 1 nodes include both ends, each at half weight, so the rule is
+    the periodic trapezoid rule written on a closed grid. The only place the
+    zone quadrature is built.
+    """
+    if n_k < MIN_NK:
+        raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
+    nodes = np.linspace(-np.pi, np.pi, n_k + 1)
+    h = 2.0 * np.pi / n_k
+    weights = np.full(n_k + 1, h)
+    weights[0] = weights[-1] = 0.5 * h
+    return nodes, weights
+
+
 def bz_integrate(f: Callable[[np.ndarray], np.ndarray], n_k: int = DEFAULT_NK):
     """(1/2pi) * trapezoid of f over the periodic zone [-pi, pi].
 
     `f` must accept an ndarray of momenta. Exact for constants; spectrally
     accurate for smooth periodic integrands.
     """
-    if n_k < MIN_NK:
-        raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
-    nodes = np.linspace(-np.pi, np.pi, n_k + 1)
+    nodes, weights = zone_trapezoid(n_k)
     samples = np.asarray(f(nodes))
     _check_finite_samples(samples, "bz_integrate")
-    h = 2.0 * np.pi / n_k
-    weights = np.full(n_k + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
     return pairwise_sum(samples * weights) / (2.0 * np.pi)
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams
-from .errors import BelowThresholdError, NonFiniteSampleError, ZeroRangeError
-from .lattice import BandEdgeParams, SshParams, band_gap, dipole
-from .numerics import MIN_NK, pairwise_sum
+from .cavity import BubbleTable, CavityParams
+from .errors import BelowThresholdError, ZeroRangeError
+from .lattice import BandEdgeParams, SshParams
+from .numerics import pairwise_sum
 
 DEFAULT_NK2D = 512
 
@@ -49,23 +49,8 @@ def interaction_kernel(k, kprime, kern: InteractionKernel):
     return out if np.ndim(out) else float(out)
 
 
-def _weighted_bubble_vector(omega: float, delta: np.ndarray, mu2w: np.ndarray, eta: float):
-    samples = mu2w / (omega - delta + 1j * eta)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSampleError("vertex bubble integrand produced nan/inf")
-    return samples
-
-
-def _zone_samples(p: SshParams, n_k: int):
-    if n_k < MIN_NK:
-        raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
-    nodes = np.linspace(-np.pi, np.pi, n_k + 1)
-    h = 2.0 * np.pi / n_k
-    weights = np.full(n_k + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
-    delta = np.asarray(band_gap(nodes, p))
-    mu2w = weights * np.asarray(dipole(nodes, p)) ** 2
-    return nodes, delta, mu2w
+def _kernel_matrix(nodes: np.ndarray, kern: InteractionKernel) -> np.ndarray:
+    return kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
 
 
 def gamma4_direct(
@@ -79,15 +64,14 @@ def gamma4_direct(
     """Double-trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2.
 
     Arguments are ordered canonically before evaluating, so the omega1 <->
-    omega2 symmetry holds bit for bit.
+    omega2 symmetry holds bit for bit. This pointwise form is the reference
+    for gamma4_direct_grid.
     """
     a, b = (omega1, omega2) if omega1 <= omega2 else (omega2, omega1)
-    nodes, delta, mu2w = _zone_samples(p, n_k)
-    b1 = _weighted_bubble_vector(a, delta, mu2w, c.eta)
-    b2 = _weighted_bubble_vector(b, delta, mu2w, c.eta)
-    v = kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
-    inner = pairwise_sum(v * b2[None, :], axis=1)
-    return complex(pairwise_sum(b1 * inner) / (2.0 * np.pi) ** 2)
+    table = BubbleTable(p, c.eta, n_k)
+    v = _kernel_matrix(table.nodes, kern)
+    inner = pairwise_sum(v * table.samples(b)[None, :], axis=1)
+    return complex(pairwise_sum(table.samples(a) * inner) / (2.0 * np.pi) ** 2)
 
 
 def gamma4_direct_grid(
@@ -97,17 +81,20 @@ def gamma4_direct_grid(
     kern: InteractionKernel,
     n_k: int = DEFAULT_NK2D,
 ) -> np.ndarray:
-    """gamma4_direct on the square grid omegas x omegas (one kernel build)."""
-    omegas = np.asarray(omegas, dtype=float)
-    nodes, delta, mu2w = _zone_samples(p, n_k)
-    v = kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
-    bvecs = np.stack([_weighted_bubble_vector(w, delta, mu2w, c.eta) for w in omegas])
-    transformed = np.stack([pairwise_sum(v * bv[None, :], axis=1) for bv in bvecs])
-    out = np.empty((omegas.size, omegas.size), dtype=complex)
-    for i in range(omegas.size):
-        for j in range(omegas.size):
-            out[i, j] = pairwise_sum(transformed[i] * bvecs[j]) / (2.0 * np.pi) ** 2
-    return out
+    """gamma4_direct on the square grid omegas x omegas (one zone, one kernel build).
+
+    Row i is one row-wise pairwise sum over all omega2; pairwise_sum brackets
+    each row as it brackets a single vector, so the entries equal the
+    per-pair sums bit for bit.
+    """
+    table = BubbleTable(p, c.eta, n_k)
+    v = _kernel_matrix(table.nodes, kern)
+    bvecs = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)])
+    scale = (2.0 * np.pi) ** 2
+    return np.stack([
+        pairwise_sum(pairwise_sum(v * bv[None, :], axis=1) * bvecs, axis=-1) / scale
+        for bv in bvecs
+    ])
 
 
 def saddle_points(omega1: float, omega2: float, edge: BandEdgeParams) -> SaddleSolution:

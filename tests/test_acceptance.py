@@ -23,6 +23,7 @@ from cavityssh import (
     band_gap,
     bose_occupation,
     dipole,
+    dressed_propagator,
     dressed_bands,
     entropy_scan,
     gamma4_direct,
@@ -33,7 +34,6 @@ from cavityssh import (
     occupation,
     photon_self_energy,
     principal_value,
-    retarded_green,
     saddle_points,
     schmidt_decompose,
     self_energy_spectrum,
@@ -240,7 +240,7 @@ def test_criterion_08_keldysh():
     sigma_table = BubbleTable(TOPO, pinned.eta, n_k=4096)
     for omega in np.linspace(2.0, 2.5, 41):
         for q in (0.0, 0.7):
-            g_r = retarded_green(float(omega), q, TOPO, pinned, n_k=4096)
+            g_r = dressed_propagator(float(omega), q, TOPO, pinned, n_k=4096)
             from_resolvent = spectral_function(float(omega), q, TOPO, pinned, n_k=4096)
             assert -g_r.imag / np.pi == from_resolvent
             from_advanced = (1j * (g_r - np.conj(g_r)) / (2.0 * np.pi)).real

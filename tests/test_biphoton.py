@@ -16,6 +16,7 @@ from cavityssh import (
     edge_momentum_map,
     entropy_scan,
     input_state,
+    scattered_pair,
     schmidt_decompose,
 )
 
@@ -168,3 +169,11 @@ def test_entropy_scan_grid_refinement_stable():
     coarse_row = entropy_scan([5.0], GRID, 1.0, 0.1, EDGE)[0]
     fine_row = entropy_scan([5.0], fine, 1.0, 0.1, EDGE)[0]
     assert abs(coarse_row.entropy_nats - fine_row.entropy_nats) < 1e-3
+
+
+def test_scan_rows_are_the_scattered_pair_rows():
+    pump = input_state(GRID, **PUMP)
+    rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, **PUMP)
+    assert rows == [scattered_pair(pump, zeta, EDGE)[1] for zeta in (0.0, 2.5)]
+    with pytest.raises(ValueError):
+        scattered_pair(pump, -1.0, EDGE)

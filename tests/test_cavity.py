@@ -3,6 +3,8 @@ and residue oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityssh import (
     BubbleTable,
@@ -10,7 +12,9 @@ from cavityssh import (
     FrequencyGrid,
     SpectralMap,
     SshParams,
+    band_gap,
     bubble_integral,
+    bz_integrate,
     dipole,
     dressed_propagator,
     hopfield_branches,
@@ -20,7 +24,9 @@ from cavityssh import (
     self_energy_spectrum,
     spectral_function,
     spectral_map,
+    zone_trapezoid,
 )
+from cavityssh.numerics import pairwise_sum
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
@@ -52,6 +58,33 @@ def test_bubble_table_matches_one_shot_integral():
     table = BubbleTable(TOPO, CAV.eta, n_k=2048)
     for omega in (0.5, 2.0, 3.3):
         assert table.integral(omega) == bubble_integral(omega, TOPO, CAV.eta, 2048)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t2=st.floats(0.05, 3.0).filter(lambda t2: abs(t2 - 1.0) > 0.02),
+    eta=st.floats(1e-3, 0.5),
+    omega=st.floats(-2.0, 9.0),
+    n_k=st.integers(64, 1500),
+    power=st.sampled_from([1, 2]),
+)
+def test_bubble_table_is_the_bz_integrate_zone(t2, eta, omega, n_k, power):
+    """The table's zone is zone_trapezoid's, bit for bit, and its integral is
+    bz_integrate of the same integrand up to rounding: the table multiplies the
+    weight into |mu|^2 before dividing, so single samples can differ in the
+    last bit."""
+    p = SshParams(1.0, t2)
+    table = BubbleTable(p, eta, n_k)
+    nodes, weights = zone_trapezoid(n_k)
+    assert table.nodes.tobytes() == nodes.tobytes()
+    assert table.weighted_mu2.tobytes() == (weights * dipole(nodes, p) ** 2).tobytes()
+    samples = table.samples(omega, power)
+    assert table.integral(omega, power) == complex(pairwise_sum(samples) / (2.0 * np.pi))
+    reference = bz_integrate(
+        lambda k: dipole(k, p) ** 2 / (omega - band_gap(k, p) + 1j * eta) ** power, n_k
+    )
+    scale = float(pairwise_sum(np.abs(samples))) / (2.0 * np.pi)
+    assert abs(table.integral(omega, power) - reference) <= 1e-13 * scale
 
 
 def test_self_energy_decoupled_limit():

@@ -10,14 +10,19 @@ import pytest
 from cavityssh import (
     CavityParams,
     ConfigInvalidError,
+    FrequencyGrid,
     SshParams,
     ThermalState,
     __version__,
+    band_edge_params,
     band_gap,
     dressed_bands,
+    dressed_propagator,
+    entropy_scan,
+    input_state,
     keldysh_green,
     occupation,
-    retarded_green,
+    scattered_pair,
     sigma_matrix,
 )
 from cavityssh import cli
@@ -85,6 +90,19 @@ def test_parse_config_fills_documented_defaults():
     assert cfg.cavity.g == 1.0
     assert cfg.n_k == 4096
     assert cfg.params["n_points"] == 256
+
+
+def test_parse_config_derives_hopfield_defaults():
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.7},
+        "cavity": {"omega_c": 1.0, "g": 0.3},
+        "grids": {"q": {"start": -1.0, "stop": 1.0, "count": 5}},
+    }
+    cfg = parse_config(doc, "hopfield")
+    assert cfg.params["g"] == 0.3  # cavity.g
+    assert cfg.params["delta_pi"] == 2.0 * abs(1.0 - 0.7)  # gap at k = pi
+    doc["params"] = {"g": 0.05, "delta_pi": 0.9}
+    assert parse_config(doc, "hopfield").params == {"g": 0.05, "delta_pi": 0.9}
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -252,7 +270,7 @@ def test_keldysh_csv_equals_the_pointwise_rows(tmp_path):
         for q in np.linspace(-1.0, 2.0, 5):
             w, q = float(w), float(q)
             g_k = keldysh_green(w, q, p, c, th, n_k=512)
-            a = -retarded_green(w, q, p, c, n_k=512).imag / np.pi
+            a = -dressed_propagator(w, q, p, c, n_k=512).imag / np.pi
             rows.append((w, q, g_k.real, g_k.imag, a, occupation(w, q, p, c, th, n_k=512)))
     expected = format_cell_csv("omega,q,ReGK,ImGK,A,n", rows)
     assert (out_dir / "keldysh.csv").read_bytes() == expected
@@ -278,6 +296,29 @@ def test_dressed_bands_csv_equals_the_pointwise_rows(tmp_path, onshell):
         rows.append((k, omega, sigma_cv.real, sigma_cv.imag, bands.e_plus, bands.e_minus))
     expected = format_cell_csv("k,omega,ReScv,ImScv,Eplus,Eminus", rows)
     assert (out_dir / "dressed_bands.csv").read_bytes() == expected
+
+
+def test_biphoton_csvs_equal_the_library_output(tmp_path):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "kernel": {"v0": 1.3, "zeta": 1.7},
+        "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 24}},
+        "params": {"omega0": 1.0, "sigma": 0.1},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "biphoton")
+    assert code == 0
+    grid, edge = FrequencyGrid(0.6, 1.4, 24), band_edge_params(SshParams(1.0, 0.5))
+    out, _ = scattered_pair(input_state(grid, 1.0, 0.1), 1.7, edge, v0=1.3)
+    comment = "# |psi_out|^2 at zeta=1.7 on omega grid start=0.6 stop=1.4 count=24"
+    expected = format_cell_csv(comment, (np.abs(out.amplitude) ** 2).tolist())
+    assert (out_dir / "biphoton_out.csv").read_bytes() == expected
+    (row,) = entropy_scan([1.7], grid, 1.0, 0.1, edge, v0=1.3)
+    expected = format_cell_csv(
+        "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,fit_r2",
+        [(row.zeta, row.entropy_nats, row.entropy_bits, *row.leading,
+          row.ratio_fit, row.fit_r2)],
+    )
+    assert (out_dir / "schmidt.csv").read_bytes() == expected
 
 
 def test_saddle_below_threshold_rows_marked(tmp_path):
@@ -378,6 +419,28 @@ def test_unexpected_handler_exception_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert read_manifest(out_dir)["error"] == {"type": "RuntimeError", "message": "handler bug"}
     assert "RuntimeError: handler bug" in capsys.readouterr().err
+
+
+CHAIN = {"t1": 1.0, "t2": 0.5}
+OMEGA4 = {"start": 0.6, "stop": 1.4, "count": 4}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("self-energy", {"model": CHAIN, "grids": {"n_k": 10, "omega": OMEGA4}},
+     "grids.n_k must be >= 64, got 10"),
+    ("zak", {"model": CHAIN, "grids": {"n_k": 10}}, "grids.n_k must be >= 64, got 10"),
+    ("vertex", {"model": CHAIN, "grids": {"n_k2d": 8, "omega": OMEGA4}},
+     "grids.n_k2d must be >= 64, got 8"),
+    ("bands", {**BANDS_DOC, "params": {"n_points": 0}}, "params.n_points must be >= 1, got 0"),
+    ("bands", {**BANDS_DOC, "params": {"n_points": -3}}, "params.n_points must be >= 1, got -3"),
+    ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5, 0.7], "n_max": 1}},
+     "params.n_max must be >= 2, got 1"),
+])
+def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc, message):
+    code, out_dir = run_cli(tmp_path, doc, command)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -17,7 +17,6 @@ from cavityssh import (
     keldysh_self_energy,
     occupation,
     photon_self_energy,
-    retarded_green,
     spectral_function,
 )
 
@@ -84,12 +83,6 @@ def test_keldysh_self_energy_thermal_factor():
         assert abs(factor - expected) < 1e-14 * expected
 
 
-def test_retarded_green_is_the_dressed_propagator():
-    assert retarded_green(2.2, 0.3, TOPO, PINNED, n_k=1024) == dressed_propagator(
-        2.2, 0.3, TOPO, PINNED, n_k=1024
-    )
-
-
 def test_keldysh_green_structure():
     gk = keldysh_green(2.2, 0.0, TOPO, PINNED, WARM, n_k=2048)
     assert abs(gk.real) < 1e-12 * abs(gk.imag)
@@ -112,7 +105,7 @@ def test_keldysh_green_equilibrium_identity_at_peak():
     """G^K = -2i Im G^R (1 + 2 n_B) holds to the eta/|Im Sigma| budget at the
     spectral peak once the broadening is bath dominated."""
     omega = peak_frequency(PINNED)
-    gr = retarded_green(omega, 0.0, TOPO, PINNED, n_k=16384)
+    gr = dressed_propagator(omega, 0.0, TOPO, PINNED, n_k=16384)
     gk = keldysh_green(omega, 0.0, TOPO, PINNED, WARM, n_k=16384)
     reference = -2j * gr.imag * (1.0 + 2.0 * bose_occupation(omega, WARM))
     assert abs(gk / reference - 1.0) < 0.01
@@ -171,7 +164,7 @@ def test_keldysh_map_matches_pointwise_functions_bit_for_bit(p, th):
     for i, w in enumerate(omega_grid.values.tolist()):
         for j, q in enumerate(q_grid.values.tolist()):
             assert same_bits(kmap.g_keldysh[i, j], keldysh_green(w, q, p, c, th, n_k=512))
-            g_r = retarded_green(w, q, p, c, n_k=512)
+            g_r = dressed_propagator(w, q, p, c, n_k=512)
             assert same_bits(kmap.spectral[i, j], -g_r.imag / np.pi)
             assert same_bits(kmap.spectral[i, j], spectral_function(w, q, p, c, n_k=512))
             assert same_bits(kmap.occupation[i, j], occupation(w, q, p, c, th, n_k=512))

@@ -13,7 +13,6 @@ from cavityssh import (
     kerr_from_fit,
     kerr_scan,
     photon_self_energy,
-    solve_omega_n,
     solve_omega_sequence,
 )
 
@@ -46,11 +45,6 @@ def test_ladder_decays_and_stays_continuous():
     sigma_scale = abs(photon_self_energy(1.0, TOPO, KERR_CAV, n_k=16384))
     steps = np.abs(np.diff(ladder))
     assert np.all(steps <= 2.0 * sigma_scale)
-
-
-def test_solve_omega_n_is_the_sequence_tail():
-    ladder = solve_omega_sequence(3, TOPO, KERR_CAV, n_k=4096)
-    assert solve_omega_n(3, TOPO, KERR_CAV, n_k=4096) == complex(ladder[3])
 
 
 def test_fit_recovers_exact_quadratic():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cavityssh import (
     ComplexSpectrum,
@@ -17,7 +20,9 @@ from cavityssh import (
     pairwise_sum,
     principal_value,
     simpson_integrate,
+    zone_trapezoid,
 )
+from cavityssh.numerics import MIN_NK
 from cavityssh.numerics import polyfit_quadratic, svd_singular_values
 
 
@@ -55,6 +60,35 @@ def test_pairwise_sum_axis_matches_full_reduction():
     m = rng.standard_normal((13, 7))
     by_rows = pairwise_sum(pairwise_sum(m, axis=1))
     assert abs(by_rows - math.fsum(m.ravel())) < 1e-12
+
+
+FINITE = st.floats(-1e300, 1e300)  # 70 terms cannot overflow
+ROW_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=70),
+               elements=FINITE),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=70),
+               elements=st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                           max_magnitude=1e150)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROW_ARRAYS)
+def test_pairwise_sum_rows_equal_the_one_dimensional_call_bit_for_bit(m):
+    rows = pairwise_sum(m, axis=-1)
+    assert rows.shape == m.shape[:1]
+    for i in range(m.shape[0]):
+        assert np.asarray(rows[i]).tobytes() == np.asarray(pairwise_sum(m[i])).tobytes()
+
+
+def test_zone_trapezoid_is_the_closed_periodic_rule():
+    nodes, weights = zone_trapezoid(256)
+    assert nodes.shape == weights.shape == (257,)
+    assert nodes[0] == -np.pi and nodes[-1] == np.pi
+    assert weights[0] == weights[-1] == 0.5 * weights[1]
+    assert abs(pairwise_sum(weights) - 2.0 * np.pi) < 1e-14
+    with pytest.raises(ValueError):
+        zone_trapezoid(MIN_NK - 1)
 
 
 def test_bz_integrate_constant_is_exact():

@@ -16,6 +16,7 @@ from cavityssh import (
     gamma4_direct_grid,
     gamma4_stationary,
     interaction_kernel,
+    pairwise_sum,
     saddle_points,
 )
 
@@ -83,6 +84,23 @@ def test_direct_vertex_grid_emission_matches_pointwise():
         for j, w2 in enumerate(omegas):
             point = gamma4_direct(float(w1), float(w2), TRIVIAL, CAV, kern, n_k=128)
             assert abs(grid[i, j] - point) < 1e-12 * abs(point)
+
+
+def test_direct_vertex_grid_equals_the_per_pair_loop_bit_for_bit():
+    """Each grid row is one row-wise pairwise sum; it must reproduce the
+    per-(i, j) sums over the same transformed bubble vectors exactly."""
+    kern = InteractionKernel(v0=1.3, zeta=0.7)
+    omegas = np.linspace(0.6, 1.4, 9)
+    grid = gamma4_direct_grid(omegas, TRIVIAL, CAV, kern, n_k=200)
+    table = BubbleTable(TRIVIAL, CAV.eta, n_k=200)
+    nodes = table.nodes
+    v = kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
+    bvecs = [table.samples(w) for w in omegas]
+    transformed = [pairwise_sum(v * bv[None, :], axis=1) for bv in bvecs]
+    for i in range(omegas.size):
+        for j in range(omegas.size):
+            loop = pairwise_sum(transformed[i] * bvecs[j]) / (2.0 * np.pi) ** 2
+            assert grid[i, j].tobytes() == loop.tobytes()
 
 
 def test_saddle_points_reference_values():
