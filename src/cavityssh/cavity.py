@@ -7,6 +7,7 @@ setting g = 1 recovers the bare-bubble normalization of the dressed spectra.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,6 +64,12 @@ class BubbleTable:
     It is bz_integrate's zone (`zone_trapezoid`) with the same pairwise
     summation order; the weight multiplies |mu|^2 before the division, so a
     sum agrees with bz_integrate of the same integrand up to rounding.
+
+    `samples` returns a fresh array the caller may keep. `integral` writes
+    the samples and the pairwise rounds into scratch arrays that the table
+    keeps per thread (allocated on a thread's first call, freed with the
+    table or when the thread ends), so repeated integrals allocate no
+    zone-sized array and threads sharing one table never share a buffer.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int = DEFAULT_NK):
@@ -70,20 +77,39 @@ class BubbleTable:
         self.eta = float(eta)
         self.delta = np.asarray(band_gap(self.nodes, p))
         self.weighted_mu2 = weights * np.asarray(dipole(self.nodes, p)) ** 2
+        self._scratch = threading.local()
+
+    def _weighted(self, omega: complex, power: int, out: np.ndarray) -> np.ndarray:
+        """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` and return it.
+
+        The in-place ufuncs round exactly as the expression
+        w / (omega - Delta + 1j eta)**power; power 2 goes through np.square,
+        because np.power(x, 2) differs from x**2 in the last bit.
+        """
+        np.subtract(omega, self.delta, out=out)
+        np.add(out, 1j * self.eta, out=out)
+        if power == 2:
+            np.square(out, out=out)
+        elif power != 1:
+            np.power(out, power, out=out)
+        np.divide(self.weighted_mu2, out, out=out)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        return out
 
     def samples(self, omega: complex, power: int = 1) -> np.ndarray:
         """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power."""
-        denom = omega - self.delta + 1j * self.eta
-        if power != 1:
-            denom = denom**power
-        samples = self.weighted_mu2 / denom
-        if not np.all(np.isfinite(samples)):
-            raise NonFiniteSampleError("bubble integrand produced nan/inf")
-        return samples
+        return self._weighted(omega, power, np.empty(self.delta.size, dtype=complex))
 
     def integral(self, omega: complex, power: int = 1) -> complex:
         """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power."""
-        return complex(pairwise_sum(self.samples(omega, power)) / (2.0 * np.pi))
+        local = self._scratch
+        if not hasattr(local, "samples"):
+            size = self.delta.size
+            local.samples = np.empty(size, dtype=complex)
+            local.pair = np.empty((2, (size + 1) // 2), dtype=complex)
+        samples = self._weighted(omega, power, local.samples)
+        return complex(pairwise_sum(samples, scratch=local.pair) / (2.0 * np.pi))
 
 
 def bubble_integral(

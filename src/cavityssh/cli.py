@@ -23,7 +23,9 @@ from .biphoton import entropy_scan, input_state, scattered_pair
 from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import COMMANDS, RunConfig, load_config
 from .dressing import dressed_band_sweep
-from .errors import BelowThresholdError, CavitySshError, ConfigInvalidError
+from .errors import (
+    BelowThresholdError, CavitySshError, ConfigInvalidError, GaplessPointError,
+)
 from .keldysh import keldysh_map
 from .kerr import kerr_scan
 from .lattice import band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase
@@ -53,16 +55,21 @@ def _grid_rows(omega_grid, q_grid, *columns):
 
 def _run_bands(cfg: RunConfig, threads: int, log):
     ks = np.linspace(-np.pi, np.pi, cfg.params["n_points"])
+    nan = float("nan")
+    gapless = 0
     rows = []
     for k in ks:
         k = float(k)
         e_v, e_c = band_energies(k, cfg.model)
-        rows.append(
-            (k, float(band_gap(k, cfg.model)), float(e_v), float(e_c),
-             float(dipole(k, cfg.model)), float(bloch_phase(k, cfg.model)))
-        )
+        try:
+            mu, theta = float(dipole(k, cfg.model)), float(bloch_phase(k, cfg.model))
+        except GaplessPointError:
+            # at t1 = t2 the gap closes at k = pi, where neither is defined
+            gapless += 1
+            mu = theta = nan
+        rows.append((k, float(band_gap(k, cfg.model)), float(e_v), float(e_c), mu, theta))
     emissions = [("csv", "bands.csv", "k,gap,eps_v,eps_c,mu,theta", rows)]
-    return emissions, {"completed": True}, {}
+    return emissions, {"completed": True}, {"gapless_points": gapless}
 
 
 def _run_zak(cfg: RunConfig, threads: int, log):

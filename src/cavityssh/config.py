@@ -41,16 +41,34 @@ _NEEDS_OMEGA = {
 }
 _NEEDS_Q = {"spectrum", "hopfield", "keldysh"}
 
+# the optional physics sections each command reads; the others are
+# key-checked when present but never built, so their defaults cannot fail
+_CONSUMES = {
+    "bands": (),
+    "zak": (),
+    "self-energy": ("cavity",),
+    "spectrum": ("cavity",),
+    "hopfield": ("cavity",),
+    "kerr-scan": ("cavity",),
+    "vertex": ("cavity", "kernel"),
+    "saddle": ("cavity", "kernel"),
+    "biphoton": ("kernel",),
+    "schmidt-scan": ("kernel",),
+    "dressed-bands": ("cavity",),
+    "keldysh": ("cavity", "thermal"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters for one command invocation."""
+    """Validated parameters for one command invocation; cavity, kernel and
+    thermal are None for a command that does not read them."""
 
     command: str
     model: SshParams
-    cavity: CavityParams
-    kernel: InteractionKernel
-    thermal: ThermalState
+    cavity: CavityParams | None
+    kernel: InteractionKernel | None
+    thermal: ThermalState | None
     n_k: int
     n_k2d: int
     omega_grid: FrequencyGrid | None
@@ -218,34 +236,41 @@ def parse_config(document: dict, command: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalidError(f"model: {exc}") from exc
 
+    consumed = _CONSUMES[command]
     cavity_sec = _require_mapping(root.get("cavity", {}), "cavity")
     _check_keys(cavity_sec, ("omega_c", "mass_beta", "g", "eta"), "cavity")
-    try:
-        cavity = CavityParams(
-            omega_c=_number(cavity_sec, "omega_c", "cavity", _edge_gap(model)),
-            mass_beta=_number(cavity_sec, "mass_beta", "cavity", 0.5),
-            g=_number(cavity_sec, "g", "cavity", 1.0),
-            eta=_number(cavity_sec, "eta", "cavity", 0.01),
-        )
-    except ValueError as exc:
-        raise ConfigInvalidError(f"cavity: {exc}") from exc
+    cavity = None
+    if "cavity" in consumed:
+        try:
+            cavity = CavityParams(
+                omega_c=_number(cavity_sec, "omega_c", "cavity", _edge_gap(model)),
+                mass_beta=_number(cavity_sec, "mass_beta", "cavity", 0.5),
+                g=_number(cavity_sec, "g", "cavity", 1.0),
+                eta=_number(cavity_sec, "eta", "cavity", 0.01),
+            )
+        except ValueError as exc:
+            raise ConfigInvalidError(f"cavity: {exc}") from exc
 
     kernel_sec = _require_mapping(root.get("kernel", {}), "kernel")
     _check_keys(kernel_sec, ("v0", "zeta"), "kernel")
-    try:
-        kernel = InteractionKernel(
-            v0=_number(kernel_sec, "v0", "kernel", 1.0),
-            zeta=_number(kernel_sec, "zeta", "kernel", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigInvalidError(f"kernel: {exc}") from exc
+    kernel = None
+    if "kernel" in consumed:
+        try:
+            kernel = InteractionKernel(
+                v0=_number(kernel_sec, "v0", "kernel", 1.0),
+                zeta=_number(kernel_sec, "zeta", "kernel", 0.0),
+            )
+        except ValueError as exc:
+            raise ConfigInvalidError(f"kernel: {exc}") from exc
 
     thermal_sec = _require_mapping(root.get("thermal", {}), "thermal")
     _check_keys(thermal_sec, ("temperature",), "thermal")
-    try:
-        thermal = ThermalState(_number(thermal_sec, "temperature", "thermal", 0.0))
-    except ValueError as exc:
-        raise ConfigInvalidError(f"thermal: {exc}") from exc
+    thermal = None
+    if "thermal" in consumed:
+        try:
+            thermal = ThermalState(_number(thermal_sec, "temperature", "thermal", 0.0))
+        except ValueError as exc:
+            raise ConfigInvalidError(f"thermal: {exc}") from exc
 
     grids_sec = _require_mapping(root.get("grids", {}), "grids")
     _check_keys(grids_sec, ("n_k", "n_k2d", "omega", "q"), "grids")

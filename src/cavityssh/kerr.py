@@ -49,24 +49,39 @@ def solve_omega_sequence(
     n_k: int = KERR_DEFAULT_NK,
     tol: float = 1e-12,
     max_iter: int = 60,
+    table: BubbleTable | None = None,
+    seed_integral: complex | None = None,
 ) -> np.ndarray:
     """omega_n for n = 0..n_max via complex Newton with continuation seeding.
 
     n = 0 is seeded at omega_c; each higher rung starts from the previous
     solution. The Newton derivative uses the analytic squared-denominator
-    bubble.
+    bubble. `table` is the zone of (p, c.eta, n_k), built here when omitted;
+    `seed_integral` is its I(omega_c), when the caller already has it.
+
+    Each bubble integral I(z) is evaluated once: rung n's last Newton iterate
+    is rung n + 1's seed, so the I(z) of rung n's final residual is reused
+    for the seed residual of rung n + 1, and rung 0 reuses `seed_integral`.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    table = BubbleTable(p, c.eta, n_k)
+    if table is None:
+        table = BubbleTable(p, c.eta, n_k)
     prefactor = c.g**2
     out = np.empty(n_max + 1, dtype=complex)
     seed = complex(c.omega_c)
+    last = [seed, seed_integral]  # the point f saw last and I there
+
+    def integral(z: complex) -> complex:
+        if last[1] is None or z != last[0]:
+            last[:] = z, table.integral(z)
+        return last[1]
+
     for n in range(n_max + 1):
         scale = prefactor * (n + 1)
 
         def f(z: complex) -> complex:
-            return z - c.omega_c - scale * table.integral(z)
+            return z - c.omega_c - scale * integral(z)
 
         def df(z: complex) -> complex:
             return 1.0 + scale * table.integral(z, power=2)
@@ -126,17 +141,23 @@ def kerr_scan(
             raise CriticalPointError(
                 f"r = {r} inside the critical guard |r-1| < {CRITICAL_GUARD}"
             )
-    rows: list[KerrScanRow] = []
-    for r in r_values:
-        p_r = SshParams(p.t1, r * p.t1)
-        c_r = replace(c, omega_c=2.0 * abs(p_r.t1 - p_r.t2))
-        u_closed = kerr_closed_form(p_r, c_r, n_k)
-        try:
-            ladder = solve_omega_sequence(n_max, p_r, c_r, n_k, tol, max_iter)
-        except NoConvergenceError:
-            rows.append(KerrScanRow(r=r, result=None, u_closed=u_closed, converged=False))
-            continue
-        rows.append(
-            KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed, converged=True)
+    return [_scan_row(r, p, c, n_k, n_max, tol, max_iter) for r in r_values]
+
+
+def _scan_row(
+    r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int, tol: float, max_iter: int
+) -> KerrScanRow:
+    """One ratio of kerr_scan. Its zone table serves the closed form and the
+    ladder and is released on return, before the next ratio builds its own."""
+    p_r = SshParams(p.t1, r * p.t1)
+    c_r = replace(c, omega_c=2.0 * abs(p_r.t1 - p_r.t2))
+    table = BubbleTable(p_r, c_r.eta, n_k)
+    at_omega_c = table.integral(c_r.omega_c)
+    u_closed = c_r.g**2 * at_omega_c  # kerr_closed_form from this table
+    try:
+        ladder = solve_omega_sequence(
+            n_max, p_r, c_r, n_k, tol, max_iter, table=table, seed_integral=at_omega_c
         )
-    return rows
+    except NoConvergenceError:
+        return KerrScanRow(r=r, result=None, u_closed=u_closed, converged=False)
+    return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed, converged=True)

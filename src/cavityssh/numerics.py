@@ -62,28 +62,40 @@ class ComplexSpectrum:
         object.__setattr__(self, "samples", samples)
 
 
-def pairwise_sum(values: np.ndarray, axis: int | None = None):
+def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
     """Sum by repeated adjacent pairing (deterministic reduction order).
 
     With axis=None the array is flattened first. An odd tail element is
     carried into the next round unchanged, so the bracketing is a pure
     function of the input length.
+
+    The rounds alternate between two buffers, so a sum allocates nothing per
+    round. `scratch` is an optional pair of such buffers for a caller that
+    sums many arrays of one shape: each has the input's dtype, at least
+    (n + 1) // 2 entries along its first axis and then the input's other
+    axes in order. Without it the pair is allocated here. The result never
+    aliases the input or the scratch.
     """
     a = np.asarray(values)
     if axis is None:
         a = a.reshape(-1)
         axis = 0
-    a = np.moveaxis(a, axis, -1)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1], dtype=a.dtype) if a.ndim > 1 else a.dtype.type(0)
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        m = n // 2
-        paired = a[..., 0 : 2 * m : 2] + a[..., 1 : 2 * m : 2]
-        if n % 2:
-            paired = np.concatenate([paired, a[..., -1:]], axis=-1)
-        a = paired
-    return a[..., 0]
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(a.shape[1:], dtype=a.dtype) if a.ndim > 1 else a.dtype.type(0)
+    if n > 1:
+        if scratch is None:
+            scratch = np.empty((2, (n + 1) // 2, *a.shape[1:]), dtype=a.dtype)
+        here, there = scratch
+        while n > 1:
+            m = n // 2
+            np.add(a[0 : 2 * m : 2], a[1 : 2 * m : 2], here[:m])
+            if n % 2:
+                here[m] = a[n - 1]
+            a, n = here[: n - m], n - m
+            here, there = there, here
+    return a[0].copy() if a.ndim > 1 else a[0]
 
 
 def _check_finite_samples(samples: np.ndarray, what: str) -> None:
@@ -196,11 +208,14 @@ def complex_newton(
 ) -> complex:
     """Newton iteration in the complex plane; returns z with |f(z)| < tol.
 
-    Without an analytic derivative a central difference with relative step
-    1e-7 is used. Raises NoConvergenceError carrying the last iterate.
+    f is called once per iterate and its value serves both the residual and
+    the next step, so k steps cost k + 1 calls of f and k of df. Without an
+    analytic derivative a central difference with relative step 1e-7 is used.
+    Raises NoConvergenceError carrying the last iterate.
     """
     z = complex(z0)
-    residual = abs(f(z))
+    fz = f(z)
+    residual = abs(fz)
     for iteration in range(max_iter):
         if residual < tol:
             return z
@@ -213,8 +228,9 @@ def complex_newton(
             raise NoConvergenceError(
                 f"derivative vanished at iteration {iteration}", z, residual, iteration
             )
-        z = z - f(z) / deriv
-        residual = abs(f(z))
+        z = z - fz / deriv
+        fz = f(z)
+        residual = abs(fz)
     if residual < tol:
         return z
     raise NoConvergenceError(

@@ -1,6 +1,10 @@
 """Photon self-energy, dressed propagator, and spectral maps against quadrature
 and residue oracles."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +89,101 @@ def test_bubble_table_is_the_bz_integrate_zone(t2, eta, omega, n_k, power):
     )
     scale = float(pairwise_sum(np.abs(samples))) / (2.0 * np.pi)
     assert abs(table.integral(omega, power) - reference) <= 1e-13 * scale
+
+
+_TABLES = {}
+
+
+def zone_table(n_k: int) -> BubbleTable:
+    """One sharp-linewidth table per size, shared by the hypothesis examples."""
+    if n_k not in _TABLES:
+        _TABLES[n_k] = BubbleTable(TOPO, SHARP.eta, n_k)
+    return _TABLES[n_k]
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_k=st.sampled_from([64, 65, 4096, 65536]),
+    power=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from([float, np.float64, complex]),
+    omega=st.floats(-2.0, 9.0),
+)
+def test_bubble_integral_is_the_pairwise_sum_of_its_samples(n_k, power, kind, omega):
+    """integral() sums the samples() formula in its per-thread scratch without
+    changing a bit, and samples() rounds as the plain expression."""
+    table = zone_table(n_k)
+    omega = kind(omega)
+    samples = table.samples(omega, power)
+    expression = table.weighted_mu2 / (omega - table.delta + 1j * table.eta) ** power
+    assert samples.tobytes() == expression.tobytes()
+    expected = complex(pairwise_sum(samples) / (2.0 * np.pi))
+    assert bits(table.integral(omega, power)) == bits(expected)
+
+
+def test_bubble_samples_are_fresh_arrays():
+    table = BubbleTable(TOPO, CAV.eta, n_k=256)
+    first = table.samples(2.0)
+    kept = first.copy()
+    second = table.samples(3.0, power=2)
+    table.integral(4.0)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_bubble_table_shared_by_threads_gives_the_serial_values():
+    table = BubbleTable(TOPO, SHARP.eta, n_k=4096)
+    points = [(omega, power) for omega in np.linspace(0.5, 6.0, 24) for power in (1, 2)]
+    serial = [table.integral(omega, power) for omega, power in points]
+    results, errors = {}, []
+
+    def hammer(worker):
+        try:
+            for rep in range(5):
+                order = points[::-1] if (worker + rep) % 2 else points
+                results[worker, rep] = {point: table.integral(*point) for point in order}
+        except Exception as exc:  # reported below; a lost thread would hide it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    assert len(results) == 4 * 5
+    expected = dict(zip(points, serial))
+    for values in results.values():
+        for point, value in values.items():
+            assert bits(value) == bits(expected[point])
+
+
+def test_bubble_integral_allocates_no_zone_sized_array():
+    """After its first call a table's integral reuses the thread's scratch;
+    numpy reports its data buffers to tracemalloc."""
+    n_k = 65536
+    table = BubbleTable(TOPO, SHARP.eta, n_k)
+    table.integral(2.0)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        for omega in np.linspace(0.5, 6.0, 10):
+            table.integral(omega, power=1 + int(omega > 3.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < (n_k + 1) * 16 / 4
 
 
 def test_self_energy_decoupled_limit():

@@ -82,8 +82,8 @@ def read_manifest(out_dir):
 
 
 def test_parse_config_fills_documented_defaults():
-    cfg = parse_config({"model": {"t1": 1.0, "t2": 1.5}}, "bands")
-    assert cfg.command == "bands"
+    cfg = parse_config({"model": {"t1": 1.0, "t2": 1.5}}, "dressed-bands")
+    assert cfg.command == "dressed-bands"
     assert cfg.cavity.omega_c == 1.0  # 2|t1 - t2|
     assert cfg.cavity.mass_beta == 0.5
     assert cfg.cavity.eta == 0.01
@@ -223,6 +223,37 @@ def test_bands_run_produces_csv_and_manifest(tmp_path):
     digest = hashlib.sha256(open(out_dir / "bands.csv", "rb").read()).hexdigest()
     assert entry["sha256"] == digest
     assert entry["bytes"] == os.path.getsize(out_dir / "bands.csv")
+
+
+def test_bands_at_the_gap_closure_writes_its_csv(tmp_path):
+    """t1 = t2 needs no cavity: the defaulted omega_c = 2|t1 - t2| = 0 is never
+    built, and the dipole and Bloch phase read nan where the gap closes."""
+    code, out_dir = run_cli(tmp_path, {"model": {"t1": 1.0, "t2": 1.0}}, "bands")
+    assert code == 0
+    table = np.genfromtxt(out_dir / "bands.csv", delimiter=",", names=True)
+    assert table.shape == (256,)
+    closed = np.isnan(table["mu"])
+    assert np.array_equal(closed, np.isnan(table["theta"]))
+    assert np.flatnonzero(closed).tolist() == [0, 255]  # k = -pi and pi
+    assert np.all(table["gap"][closed] == 0.0)
+    assert np.all(np.isfinite(table["mu"][~closed]))
+    assert read_manifest(out_dir)["metadata"]["gapless_points"] == 2
+
+
+def test_parse_config_builds_only_the_sections_a_command_reads():
+    doc = {
+        "model": {"t1": 1.0, "t2": 1.0},
+        "cavity": {"eta": 0.0},
+        "kernel": {"zeta": -1.0},
+        "thermal": {"temperature": -1.0},
+    }
+    cfg = parse_config(doc, "bands")
+    assert cfg.cavity is None and cfg.kernel is None and cfg.thermal is None
+    with pytest.raises(ConfigInvalidError, match="cavity"):
+        parse_config(doc, "dressed-bands")
+    # a section the command ignores is still checked for unknown keys
+    with pytest.raises(ConfigInvalidError, match="unknown key"):
+        parse_config({"model": {"t1": 1.0, "t2": 1.5}, "cavity": {"omgea_c": 1.0}}, "bands")
 
 
 def test_zak_run_reports_both_phases(tmp_path):

@@ -1,9 +1,15 @@
 """Self-consistent resonance ladder, quadratic fits, and the closed-form shift."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cavityssh import kerr
 from cavityssh import (
+    BubbleTable,
     CavityParams,
     CriticalPointError,
     DegenerateDesignError,
@@ -142,3 +148,53 @@ def test_scan_records_diverged_rows_and_continues():
     assert [row.converged for row in rows] == [False, False]
     assert all(row.result is None for row in rows)
     assert all(np.isfinite(abs(row.u_closed)) for row in rows)
+
+
+class CountingTable(BubbleTable):
+    """A zone table that counts its integrals."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def integral(self, omega, power=1):
+        self.calls += 1
+        return super().integral(omega, power)
+
+
+def test_ladder_makes_at_most_four_integrals_per_rung():
+    n_max = 5
+    table = CountingTable(TOPO, KERR_CAV.eta, 16384)
+    at_omega_c = table.integral(KERR_CAV.omega_c)
+    table.calls = 0
+    ladder = solve_omega_sequence(
+        n_max, TOPO, KERR_CAV, 16384, table=table, seed_integral=at_omega_c
+    )
+    assert 0 < table.calls <= 4 * (n_max + 1)
+    assert ladder.tobytes() == solve_omega_sequence(n_max, TOPO, KERR_CAV, 16384).tobytes()
+
+
+def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
+    built = []
+
+    class TrackedTable(BubbleTable):
+        def __init__(self, *args, **kwargs):
+            # the previous ratio's table must be gone before this one exists
+            assert all(ref() is None for ref in built)
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(kerr, "BubbleTable", TrackedTable)
+    gc.disable()  # only reference counting may free the tables
+    try:
+        rows = kerr_scan([1.5, 0.5, 1.3], TOPO, KERR_CAV, n_k=4096, n_max=3)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    assert len(built) == 3
+    for row in rows:
+        p_r = SshParams(1.0, row.r)
+        c_r = replace(KERR_CAV, omega_c=2.0 * abs(1.0 - row.r))
+        assert row.u_closed == kerr_closed_form(p_r, c_r, n_k=4096)
+        ladder = solve_omega_sequence(3, p_r, c_r, n_k=4096)
+        assert row.result.omega_n.tobytes() == ladder.tobytes()

@@ -77,8 +77,42 @@ ROW_ARRAYS = st.one_of(
 def test_pairwise_sum_rows_equal_the_one_dimensional_call_bit_for_bit(m):
     rows = pairwise_sum(m, axis=-1)
     assert rows.shape == m.shape[:1]
+    if m.shape[1]:
+        assert rows.tobytes() == concatenating_pairwise_sum(m).tobytes()
     for i in range(m.shape[0]):
         assert np.asarray(rows[i]).tobytes() == np.asarray(pairwise_sum(m[i])).tobytes()
+
+
+def concatenating_pairwise_sum(a):
+    """The reduction as first written, one new array per round: the reference
+    for the buffered rounds (sums along the last axis)."""
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        m = n // 2
+        paired = a[..., 0 : 2 * m : 2] + a[..., 1 : 2 * m : 2]
+        if n % 2:
+            paired = np.concatenate([paired, a[..., -1:]], axis=-1)
+        a = paired
+    return a[..., 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3] + [2**k + 1 for k in range(1, 13)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pairwise_sum_scratch_pair_changes_no_bit(n, dtype):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((3, n)).astype(dtype)
+    if dtype is np.complex128:
+        m += 1j * rng.standard_normal((3, n))
+    for values, axis in ((m[1], None), (m, -1), (np.ascontiguousarray(m.T), 0)):
+        lead = values.shape[1:] if axis == 0 else values.shape[:-1]
+        scratch = np.full((2, (n + 1) // 2, *lead), np.nan, dtype=dtype)
+        plain = pairwise_sum(values, axis=axis)
+        buffered = pairwise_sum(values, axis=axis, scratch=scratch)
+        reference = concatenating_pairwise_sum(m[1] if axis is None else m)
+        assert np.asarray(plain).tobytes() == np.asarray(reference).tobytes()
+        assert np.asarray(buffered).tobytes() == np.asarray(reference).tobytes()
+        assert not np.shares_memory(buffered, scratch)
+        assert not np.shares_memory(buffered, values)
 
 
 def test_zone_trapezoid_is_the_closed_periodic_rule():
@@ -162,8 +196,29 @@ def test_complex_newton_linear_single_step():
 
     root = complex_newton(f, 5.0 + 0.0j, df=lambda z: 1.0 + 0.0j)
     assert abs(root - (0.3 - 0.2j)) < 1e-12
-    # one residual check at the seed, the step, one residual check at the root
-    assert len(calls) == 3
+    # one residual at the seed, reused by the step, one residual at the root
+    assert calls == [5.0 + 0.0j, root]
+
+
+@pytest.mark.parametrize("seed", [1.0 + 0.5j, 3.0 - 1.0j, 0.2 + 2.0j])
+def test_complex_newton_evaluates_f_once_per_iterate(seed):
+    f_at, df_at = [], []
+
+    def f(z):
+        f_at.append(z)
+        return z**3 - (1.0 + 1.0j)
+
+    def df(z):
+        df_at.append(z)
+        return 3.0 * z * z
+
+    root = complex_newton(f, seed, df=df)
+    iterations = len(df_at)
+    assert iterations >= 3
+    assert len(f_at) == iterations + 1
+    assert len(set(f_at)) == len(f_at)  # no point is evaluated twice
+    assert f_at[:-1] == df_at and f_at[-1] == root
+    assert abs(root**3 - (1.0 + 1.0j)) < 1e-12
 
 
 def test_complex_newton_exact_seed_returns_immediately():
