@@ -1,190 +1,65 @@
-"""Cavity photons coupled to a dimerized chain: bands, spectra, nonlinearities."""
+"""Cavity photons coupled to a dimerized chain: bands, spectra, nonlinearities.
 
-from .biphoton import (
-    BiphotonState,
-    EntropyScanRow,
-    SchmidtSpectrum,
-    analytic_schmidt,
-    apply_vertex,
-    edge_momentum_map,
-    entropy_scan,
-    input_state,
-    scattered_pair,
-    schmidt_decompose,
-)
-from .cavity import (
-    BubbleTable,
-    CavityParams,
-    SpectralMap,
-    bubble_integral,
-    dressed_propagator,
-    hopfield_branches,
-    photon_self_energy,
-    photon_self_energy_n,
-    self_energy_spectrum,
-    spectral_function,
-    spectral_map,
-)
-from .dressing import (
-    DressedBands,
-    DressedBandSweep,
-    FermionSelfEnergy,
-    bare_photon_green,
-    dressed_band_sweep,
-    dressed_bands,
-    lamb_shift,
-    sigma_band,
-    sigma_band_dispersive,
-    sigma_matrix,
-)
-from .errors import (
-    BelowThresholdError,
-    CavitySshError,
-    ConfigInvalidError,
-    CriticalPointError,
-    DegenerateDesignError,
-    GaplessPointError,
-    GridTooNarrowError,
-    NoConvergenceError,
-    NonFiniteEntryError,
-    NonFiniteSampleError,
-    NonPositiveFrequencyError,
-    PoleOnBoundaryError,
-    ZeroNormError,
-    ZeroRangeError,
-    ZeroSpectralWeightError,
-)
-from .keldysh import (
-    KeldyshMap,
-    ThermalState,
-    bose_occupation,
-    keldysh_green,
-    keldysh_map,
-    keldysh_self_energy,
-    occupation,
-)
-from .kerr import (
-    KerrResult,
-    KerrScanRow,
-    kerr_closed_form,
-    kerr_from_fit,
-    kerr_scan,
-    solve_omega_sequence,
-)
-from .lattice import (
-    BandEdgeParams,
-    SshParams,
-    band_edge_params,
-    band_energies,
-    band_gap,
-    bloch_phase,
-    dipole,
-    zak_phase,
-)
-from .numerics import (
-    ComplexSpectrum,
-    FrequencyGrid,
-    bz_integrate,
-    complex_newton,
-    pairwise_sum,
-    principal_value,
-    simpson_integrate,
-    zone_trapezoid,
-)
-from .vertex import (
-    InteractionKernel,
-    SaddleSolution,
-    gamma4_direct,
-    gamma4_direct_grid,
-    gamma4_stationary,
-    interaction_kernel,
-    saddle_points,
-)
+Each public name is listed once, under the module that defines it, and that
+module is imported the first time the name is looked up (PEP 562), so
+`import cavityssh` alone loads neither numpy nor any submodule.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SshParams",
-    "BandEdgeParams",
-    "band_gap",
-    "band_energies",
-    "dipole",
-    "bloch_phase",
-    "zak_phase",
-    "band_edge_params",
-    "CavityParams",
-    "SpectralMap",
-    "BubbleTable",
-    "bubble_integral",
-    "photon_self_energy",
-    "photon_self_energy_n",
-    "self_energy_spectrum",
-    "dressed_propagator",
-    "spectral_function",
-    "spectral_map",
-    "hopfield_branches",
-    "ThermalState",
-    "bose_occupation",
-    "keldysh_self_energy",
-    "keldysh_green",
-    "occupation",
-    "KeldyshMap",
-    "keldysh_map",
-    "KerrResult",
-    "KerrScanRow",
-    "solve_omega_sequence",
-    "kerr_from_fit",
-    "kerr_closed_form",
-    "kerr_scan",
-    "InteractionKernel",
-    "SaddleSolution",
-    "interaction_kernel",
-    "gamma4_direct",
-    "gamma4_direct_grid",
-    "saddle_points",
-    "gamma4_stationary",
-    "BiphotonState",
-    "SchmidtSpectrum",
-    "EntropyScanRow",
-    "input_state",
-    "apply_vertex",
-    "schmidt_decompose",
-    "analytic_schmidt",
-    "edge_momentum_map",
-    "scattered_pair",
-    "entropy_scan",
-    "FermionSelfEnergy",
-    "DressedBands",
-    "bare_photon_green",
-    "sigma_band",
-    "sigma_matrix",
-    "sigma_band_dispersive",
-    "lamb_shift",
-    "dressed_bands",
-    "DressedBandSweep",
-    "dressed_band_sweep",
-    "FrequencyGrid",
-    "ComplexSpectrum",
-    "pairwise_sum",
-    "zone_trapezoid",
-    "bz_integrate",
-    "simpson_integrate",
-    "principal_value",
-    "complex_newton",
-    "CavitySshError",
-    "GaplessPointError",
-    "CriticalPointError",
-    "NoConvergenceError",
-    "BelowThresholdError",
-    "ZeroRangeError",
-    "ZeroNormError",
-    "GridTooNarrowError",
-    "ConfigInvalidError",
-    "NonFiniteSampleError",
-    "NonFiniteEntryError",
-    "NonPositiveFrequencyError",
-    "DegenerateDesignError",
-    "PoleOnBoundaryError",
-    "ZeroSpectralWeightError",
-]
+_EXPORTS = {
+    "lattice": (
+        "SshParams", "BandEdgeParams", "band_gap", "band_energies", "dipole",
+        "bloch_phase", "zak_phase", "band_edge_params",
+    ),
+    "cavity": (
+        "CavityParams", "SpectralMap", "BubbleTable", "photon_self_energy",
+        "self_energy_spectrum", "dressed_propagator", "spectral_function",
+        "spectral_map", "hopfield_branches",
+    ),
+    "keldysh": (
+        "ThermalState", "bose_occupation", "keldysh_green", "occupation",
+        "KeldyshMap", "keldysh_map",
+    ),
+    "kerr": (
+        "KerrResult", "KerrScanRow", "solve_omega_sequence", "kerr_from_fit",
+        "kerr_closed_form", "kerr_scan",
+    ),
+    "vertex": (
+        "InteractionKernel", "SaddleSolution", "gamma4_direct", "gamma4_direct_grid",
+        "saddle_points", "gamma4_stationary",
+    ),
+    "biphoton": (
+        "BiphotonState", "SchmidtSpectrum", "EntropyScanRow", "input_state",
+        "apply_vertex", "schmidt_decompose", "edge_momentum_map", "scattered_pair",
+        "entropy_scan",
+    ),
+    "dressing": (
+        "FermionSelfEnergy", "DressedBands", "bare_photon_green", "sigma_matrix",
+        "dressed_bands", "DressedBandSweep", "dressed_band_sweep",
+    ),
+    "numerics": (
+        "FrequencyGrid", "ComplexSpectrum", "pairwise_sum", "zone_trapezoid",
+        "bz_integrate", "simpson_integrate", "principal_value", "complex_newton",
+    ),
+    "errors": (
+        "CavitySshError", "GaplessPointError", "CriticalPointError",
+        "NoConvergenceError", "BelowThresholdError", "ZeroRangeError", "ZeroNormError",
+        "GridTooNarrowError", "ConfigInvalidError", "NonFiniteSampleError",
+        "NonFiniteEntryError", "NonPositiveFrequencyError", "DegenerateDesignError",
+        "PoleOnBoundaryError", "ZeroSpectralWeightError",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

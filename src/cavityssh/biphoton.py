@@ -113,24 +113,6 @@ def schmidt_decompose(state: BiphotonState, n_max: int | None = None) -> Schmidt
     )
 
 
-def analytic_schmidt(zeta: float, n_max: int):
-    """Reference geometric spectrum lambda_n = lambda0 (zeta/(1+zeta))^n.
-
-    Returns (raw, normalized): `raw` evaluates the printed closed form
-    verbatim with lambda0 = sqrt(2 zeta (1+zeta)^2 / (pi ((1+zeta)^2 + zeta^2)))
-    (which does not sum to one); `normalized` is the properly normalized
-    geometric distribution (1-x) x^n with the same ratio x = zeta/(1+zeta).
-    """
-    if zeta < 0:
-        raise ValueError(f"zeta must be >= 0, got {zeta}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    x = zeta / (1.0 + zeta)
-    lam0 = np.sqrt(2.0 * zeta * (1.0 + zeta) ** 2 / (np.pi * ((1.0 + zeta) ** 2 + zeta**2)))
-    powers = x ** np.arange(n_max, dtype=float)
-    return lam0 * powers, (1.0 - x) * powers
-
-
 def edge_momentum_map(omegas: np.ndarray, edge: BandEdgeParams) -> np.ndarray:
     """q*(omega) = sqrt(2 (omega - delta0)/curvature), clamped to 0 below edge."""
     radicand = 2.0 * (np.asarray(omegas, dtype=float) - edge.delta0) / edge.curvature

@@ -112,27 +112,15 @@ class BubbleTable:
         return complex(pairwise_sum(samples, scratch=local.pair) / (2.0 * np.pi))
 
 
-def bubble_integral(
-    omega: complex, p: SshParams, eta: float, n_k: int = DEFAULT_NK, power: int = 1
-) -> complex:
-    """One-shot g=1 interband bubble; see BubbleTable for the vectorized path."""
-    return BubbleTable(p, eta, n_k).integral(omega, power)
-
-
 def photon_self_energy(
     omega: float, p: SshParams, c: CavityParams, n_k: int = DEFAULT_NK
 ) -> complex:
-    """Retarded photon self-energy g^2 (1/2pi) int dk |mu|^2/(omega - Delta + i eta)."""
-    return c.g**2 * bubble_integral(omega, p, c.eta, n_k)
+    """Retarded photon self-energy g^2 (1/2pi) int dk |mu|^2/(omega - Delta + i eta).
 
-
-def photon_self_energy_n(
-    omega: float, n: int, p: SshParams, c: CavityParams, n_k: int = DEFAULT_NK
-) -> complex:
-    """Photon-number resolved self-energy (n+1) * Sigma^R(omega)."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    return (n + 1) * photon_self_energy(omega, p, c, n_k)
+    Builds a one-shot zone; a caller that evaluates many omega should hold a
+    BubbleTable (or use self_energy_spectrum).
+    """
+    return c.g**2 * BubbleTable(p, c.eta, n_k).integral(omega)
 
 
 def self_energy_spectrum(
@@ -209,8 +197,8 @@ def spectral_map(
     return SpectralMap(omega_grid=omega_grid, q_grid=q_grid, values=values)
 
 
-def hopfield_branches(q: float, g: float, beta: float, delta_pi: float):
-    """Eigenvalues (lower, upper) of the two-level reference
+def hopfield_branches(q, g: float, beta: float, delta_pi: float):
+    """Eigenvalues (lower, upper) at each q of the two-level reference
     [[beta q^2 + delta_pi, g], [g, delta_pi]]; splitting 2g at q = 0 on resonance."""
     photon = beta * q * q + delta_pi
     mean = 0.5 * (photon + delta_pi)

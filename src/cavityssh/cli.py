@@ -23,12 +23,12 @@ from .biphoton import entropy_scan, input_state, scattered_pair
 from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import COMMANDS, RunConfig, load_config
 from .dressing import dressed_band_sweep
-from .errors import (
-    BelowThresholdError, CavitySshError, ConfigInvalidError, GaplessPointError,
-)
+from .errors import BelowThresholdError, CavitySshError, ConfigInvalidError
 from .keldysh import keldysh_map
 from .kerr import kerr_scan
-from .lattice import band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase
+from .lattice import (
+    GAPLESS_FLOOR, band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase,
+)
 from .output import write_csv, write_manifest, write_matrix_csv
 from .vertex import gamma4_direct_grid, gamma4_stationary
 
@@ -55,21 +55,17 @@ def _grid_rows(omega_grid, q_grid, *columns):
 
 def _run_bands(cfg: RunConfig, threads: int, log):
     ks = np.linspace(-np.pi, np.pi, cfg.params["n_points"])
-    nan = float("nan")
-    gapless = 0
-    rows = []
-    for k in ks:
-        k = float(k)
-        e_v, e_c = band_energies(k, cfg.model)
-        try:
-            mu, theta = float(dipole(k, cfg.model)), float(bloch_phase(k, cfg.model))
-        except GaplessPointError:
-            # at t1 = t2 the gap closes at k = pi, where neither is defined
-            gapless += 1
-            mu = theta = nan
-        rows.append((k, float(band_gap(k, cfg.model)), float(e_v), float(e_c), mu, theta))
+    gaps = band_gap(ks, cfg.model)
+    e_v, e_c = band_energies(ks, cfg.model)
+    # the dipole and Bloch phase need an open gap; at t1 = t2 it closes at k = pi
+    gapped = gaps >= GAPLESS_FLOOR
+    mu = np.full(ks.size, np.nan)
+    theta = np.full(ks.size, np.nan)
+    mu[gapped] = dipole(ks[gapped], cfg.model)
+    theta[gapped] = bloch_phase(ks[gapped], cfg.model)
+    rows = list(zip(*(column.tolist() for column in (ks, gaps, e_v, e_c, mu, theta))))
     emissions = [("csv", "bands.csv", "k,gap,eps_v,eps_c,mu,theta", rows)]
-    return emissions, {"completed": True}, {"gapless_points": gapless}
+    return emissions, {"completed": True}, {"gapless_points": int(np.count_nonzero(~gapped))}
 
 
 def _run_zak(cfg: RunConfig, threads: int, log):
@@ -101,12 +97,11 @@ def _run_spectrum(cfg: RunConfig, threads: int, log):
 
 
 def _run_hopfield(cfg: RunConfig, threads: int, log):
-    g = cfg.params["g"]
-    delta_pi = cfg.params["delta_pi"]
-    rows = []
-    for q in cfg.q_grid.values:
-        lower, upper = hopfield_branches(float(q), g, cfg.cavity.mass_beta, delta_pi)
-        rows.append((float(q), float(lower), float(upper)))
+    qs = cfg.q_grid.values
+    lower, upper = hopfield_branches(
+        qs, cfg.params["g"], cfg.cavity.mass_beta, cfg.params["delta_pi"]
+    )
+    rows = list(zip(qs.tolist(), lower.tolist(), upper.tolist()))
     emissions = [("csv", "hopfield.csv", "q,lower,upper", rows)]
     meta = {"reference": "two-level branches, splitting 2g at the q=0 resonance"}
     return emissions, {"completed": True}, meta
@@ -144,10 +139,9 @@ def _run_vertex(cfg: RunConfig, threads: int, log):
     omegas = cfg.omega_grid.values
     log(f"direct vertex on {omegas.size}^2 frequencies at n_k2d={cfg.n_k2d}")
     grid = gamma4_direct_grid(omegas, cfg.model, cfg.cavity, cfg.kernel, cfg.n_k2d)
-    rows = []
-    for i, w1 in enumerate(omegas):
-        for j, w2 in enumerate(omegas):
-            rows.append((float(w1), float(w2), grid[i, j].real, grid[i, j].imag, "direct"))
+    rows = _grid_rows(
+        cfg.omega_grid, cfg.omega_grid, grid.real, grid.imag, np.full(grid.shape, "direct")
+    )
     emissions = [("csv", "gamma4.csv", "omega1,omega2,ReG4,ImG4,method", rows)]
     meta = {"normalization": "bare-bubble vertex, no coupling prefactor"}
     return emissions, {"completed": True}, meta

@@ -19,27 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import (
-    CavityParams,
-    dressed_propagator,
-    photon_self_energy,
-    self_energy_spectrum,
-    spectral_function,
-)
+from .cavity import CavityParams, dressed_propagator, photon_self_energy, self_energy_spectrum
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
 from .lattice import SshParams
 from .numerics import DEFAULT_NK, FrequencyGrid
-
-__all__ = [
-    "KeldyshMap",
-    "ThermalState",
-    "bose_occupation",
-    "keldysh_self_energy",
-    "keldysh_green",
-    "keldysh_map",
-    "occupation",
-    "spectral_function",
-]
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this n_B underflows to 0 anyway
 
@@ -98,17 +81,6 @@ def _occupation_from(g_r: complex, g_k, eta: float, omega: float, q: float):
     g_k_total = g_k + 2j * eta * weight
     ratio = (g_k_total / (-2j * g_r.imag)).real
     return 0.5 * (ratio - 1.0)
-
-
-def keldysh_self_energy(
-    omega: float,
-    p: SshParams,
-    c: CavityParams,
-    th: ThermalState,
-    n_k: int = DEFAULT_NK,
-) -> complex:
-    """Sigma^K(omega) = -2i Im Sigma^R(omega) (1 + 2 n_B(omega)); purely imaginary."""
-    return _sigma_keldysh(photon_self_energy(omega, p, c, n_k), bose_occupation(omega, th))
 
 
 def keldysh_green(

@@ -39,14 +39,6 @@ class SaddleSolution:
 
     q1: float
     q2: float
-    above_threshold: tuple[bool, bool]
-
-
-def interaction_kernel(k, kprime, kern: InteractionKernel):
-    """V(k, k') = v0 exp(-zeta (k - k')^2), symmetric in its arguments."""
-    diff = np.asarray(k, dtype=float) - np.asarray(kprime, dtype=float)
-    out = kern.v0 * np.exp(-kern.zeta * diff * diff)
-    return out if np.ndim(out) else float(out)
 
 
 def _kernel_matrix(nodes: np.ndarray, kern: InteractionKernel) -> np.ndarray:
@@ -91,10 +83,14 @@ def gamma4_direct_grid(
     v = _kernel_matrix(table.nodes, kern)
     bvecs = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)])
     scale = (2.0 * np.pi) ** 2
-    return np.stack([
-        pairwise_sum(pairwise_sum(v * bv[None, :], axis=1) * bvecs, axis=-1) / scale
-        for bv in bvecs
-    ])
+    product = np.empty(v.shape, dtype=complex)
+    pair = np.empty((2, (v.shape[1] + 1) // 2, v.shape[0]), dtype=complex)
+    rows = []
+    for bv in bvecs:
+        np.multiply(v, bv[None, :], out=product)
+        inner = pairwise_sum(product, axis=1, scratch=pair)
+        rows.append(pairwise_sum(inner * bvecs, axis=-1) / scale)
+    return np.stack(rows)
 
 
 def saddle_points(omega1: float, omega2: float, edge: BandEdgeParams) -> SaddleSolution:
@@ -114,7 +110,7 @@ def saddle_points(omega1: float, omega2: float, edge: BandEdgeParams) -> SaddleS
             f"frequency below the band edge delta0 = {edge.delta0}", which=which
         )
     q1, q2 = (float(np.sqrt(r)) for r in radicands)
-    return SaddleSolution(q1=q1, q2=q2, above_threshold=(True, True))
+    return SaddleSolution(q1=q1, q2=q2)
 
 
 def gamma4_stationary(

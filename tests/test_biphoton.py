@@ -10,7 +10,6 @@ from cavityssh import (
     FrequencyGrid,
     GridTooNarrowError,
     SshParams,
-    analytic_schmidt,
     apply_vertex,
     band_edge_params,
     edge_momentum_map,
@@ -114,24 +113,6 @@ def test_schmidt_entropy_invariances():
         amplitude=np.exp(0.7j) * phases[:, None] * state.amplitude * phases[None, :] ** 2,
     )
     assert abs(schmidt_decompose(rotated).entropy_nats - base) < 1e-10
-
-
-def test_analytic_schmidt_geometric_structure():
-    raw, normalized = analytic_schmidt(2.0, 40)
-    x = 2.0 / 3.0
-    np.testing.assert_allclose(raw[1:] / raw[:-1], x, rtol=1e-12)
-    np.testing.assert_allclose(normalized[1:] / normalized[:-1], x, rtol=1e-12)
-    assert abs(np.sum(normalized) - (1.0 - x**40)) < 1e-12
-    # balanced range: ratio 1/2, so the top normalized weight is exactly 1/2
-    _, half = analytic_schmidt(1.0, 10)
-    assert abs(half[0] - 0.5) < 1e-15
-
-
-def test_analytic_schmidt_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        analytic_schmidt(-0.5, 10)
-    with pytest.raises(ValueError):
-        analytic_schmidt(1.0, 0)
 
 
 def test_edge_momentum_map_clamps_below_threshold():

@@ -17,13 +17,11 @@ from cavityssh import (
     SpectralMap,
     SshParams,
     band_gap,
-    bubble_integral,
     bz_integrate,
     dipole,
     dressed_propagator,
     hopfield_branches,
     photon_self_energy,
-    photon_self_energy_n,
     principal_value,
     self_energy_spectrum,
     spectral_function,
@@ -59,9 +57,11 @@ def test_cavity_params_validation():
 
 
 def test_bubble_table_matches_one_shot_integral():
-    table = BubbleTable(TOPO, CAV.eta, n_k=2048)
+    """photon_self_energy is g^2 times the integral of a one-shot table."""
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.7, eta=CAV.eta)
+    table = BubbleTable(TOPO, c.eta, n_k=2048)
     for omega in (0.5, 2.0, 3.3):
-        assert table.integral(omega) == bubble_integral(omega, TOPO, CAV.eta, 2048)
+        assert photon_self_energy(omega, TOPO, c, n_k=2048) == c.g**2 * table.integral(omega)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,15 +223,6 @@ def test_self_energy_kramers_kronig_spot():
     )
     reference = photon_self_energy(omega0, TOPO, SHARP, n_k=16384).real
     assert abs(transform / np.pi - reference) < 0.02 * abs(reference)
-
-
-def test_self_energy_n_scaling():
-    base = photon_self_energy(2.0, TOPO, CAV, n_k=2048)
-    assert photon_self_energy_n(2.0, 0, TOPO, CAV, n_k=2048) == base
-    assert abs(photon_self_energy_n(2.0, 3, TOPO, CAV, n_k=2048) - 4.0 * base) < 1e-14
-    for n in range(1, 6):
-        ratio = photon_self_energy_n(2.0, n, TOPO, CAV, n_k=2048) / base
-        assert abs(ratio - (n + 1)) < 1e-14 * (n + 1)
 
 
 def test_self_energy_spectrum_thread_count_invariant():

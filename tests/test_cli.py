@@ -11,14 +11,21 @@ from cavityssh import (
     CavityParams,
     ConfigInvalidError,
     FrequencyGrid,
+    GaplessPointError,
+    InteractionKernel,
     SshParams,
     ThermalState,
     __version__,
     band_edge_params,
+    band_energies,
     band_gap,
+    bloch_phase,
+    dipole,
     dressed_bands,
     dressed_propagator,
     entropy_scan,
+    gamma4_direct_grid,
+    hopfield_branches,
     input_state,
     keldysh_green,
     occupation,
@@ -327,6 +334,69 @@ def test_dressed_bands_csv_equals_the_pointwise_rows(tmp_path, onshell):
         rows.append((k, omega, sigma_cv.real, sigma_cv.imag, bands.e_plus, bands.e_minus))
     expected = format_cell_csv("k,omega,ReScv,ImScv,Eplus,Eminus", rows)
     assert (out_dir / "dressed_bands.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("t2", [1.5, 1.0])
+def test_bands_csv_equals_the_pointwise_rows(tmp_path, t2):
+    """Gapped, and at t1 = t2, where the gap closes at k = -pi and pi and the
+    dipole and Bloch phase read nan."""
+    doc = {"model": {"t1": 1.0, "t2": t2}, "params": {"n_points": 1001}}
+    code, out_dir = run_cli(tmp_path, doc, "bands")
+    assert code == 0
+    p = SshParams(1.0, t2)
+    rows, gapless = [], 0
+    for k in np.linspace(-np.pi, np.pi, 1001):
+        k = float(k)
+        e_v, e_c = band_energies(k, p)
+        try:
+            mu, theta = float(dipole(k, p)), float(bloch_phase(k, p))
+        except GaplessPointError:
+            gapless += 1
+            mu = theta = float("nan")
+        rows.append((k, float(band_gap(k, p)), float(e_v), float(e_c), mu, theta))
+    expected = format_cell_csv("k,gap,eps_v,eps_c,mu,theta", rows)
+    assert (out_dir / "bands.csv").read_bytes() == expected
+    assert gapless == (2 if t2 == 1.0 else 0)
+    assert read_manifest(out_dir)["metadata"]["gapless_points"] == gapless
+
+
+def test_hopfield_csv_equals_the_pointwise_rows(tmp_path):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"omega_c": 1.0, "mass_beta": 0.7, "g": 1.0, "eta": 0.01},
+        "grids": {"q": {"start": -2.0, "stop": 2.0, "count": 101}},
+        "params": {"g": 0.3},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "hopfield")
+    assert code == 0
+    rows = []
+    for q in np.linspace(-2.0, 2.0, 101):
+        lower, upper = hopfield_branches(float(q), 0.3, 0.7, 1.0)
+        rows.append((float(q), float(lower), float(upper)))
+    expected = format_cell_csv("q,lower,upper", rows)
+    assert (out_dir / "hopfield.csv").read_bytes() == expected
+
+
+def test_vertex_csv_equals_the_grid_rows(tmp_path):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"omega_c": 1.0, "mass_beta": 0.5, "g": 1.0, "eta": 0.01},
+        "kernel": {"v0": 1.3, "zeta": 0.7},
+        "grids": {"n_k2d": 100, "omega": {"start": 0.6, "stop": 1.4, "count": 7}},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "vertex")
+    assert code == 0
+    omegas = np.linspace(0.6, 1.4, 7)
+    grid = gamma4_direct_grid(
+        omegas, SshParams(1.0, 0.5), CavityParams(1.0, 0.5, 1.0, 0.01),
+        InteractionKernel(1.3, 0.7), 100,
+    )
+    rows = [
+        (float(w1), float(w2), grid[i, j].real, grid[i, j].imag, "direct")
+        for i, w1 in enumerate(omegas) for j, w2 in enumerate(omegas)
+    ]
+    expected = format_cell_csv("omega1,omega2,ReG4,ImG4,method", rows)
+    assert (out_dir / "gamma4.csv").read_bytes() == expected
 
 
 def test_biphoton_csvs_equal_the_library_output(tmp_path):

@@ -1,5 +1,5 @@
-"""Band self-energies from photon exchange, the dispersive and principal-value
-variants, and the dressed band edges."""
+"""Band self-energies from photon exchange, their Kramers-Kronig real part, and
+the dressed band edges."""
 
 import numpy as np
 import pytest
@@ -15,58 +15,36 @@ from cavityssh import (
     dipole,
     dressed_band_sweep,
     dressed_bands,
-    lamb_shift,
-    sigma_band,
-    sigma_band_dispersive,
+    principal_value,
     sigma_matrix,
 )
-from cavityssh.dressing import BANDS
 
 TRIVIAL = SshParams(1.0, 0.5)
 TOPO = SshParams(1.0, 1.5)
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.05, eta=1e-2)
 
 
-def test_band_names_are_fixed():
-    assert BANDS == ("conduction", "valence")
-
-
 def test_bare_photon_green_resonance():
     assert bare_photon_green(CAV.omega_c, CAV) == 1.0 / (1j * CAV.eta)
 
 
-def test_sigma_band_rejects_unknown_band():
-    with pytest.raises(ValueError):
-        sigma_band(0.5, 1.0, "flat", TRIVIAL, CAV)
-
-
-def test_sigma_band_decoupled_and_zone_edge_limits():
+def test_sigma_matrix_decoupled_limit():
     off = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.0, eta=1e-2)
-    assert sigma_band(0.7, 1.0, "conduction", TRIVIAL, off) == 0j
-    # the dipole closes at the zone edge, and the self-energy with it
-    assert abs(sigma_band(np.pi, 1.0, "conduction", TRIVIAL, CAV)) < 1e-15
+    entry = sigma_matrix(0.7, 1.0, TRIVIAL, off)
+    assert entry.sigma_cv == 0j
+    assert entry.sigma_vc == 0j
 
 
-def test_sigma_band_resonant_on_shell_value():
-    """With omega_c tuned to the local direct gap, the on-shell conduction
-    self-energy is the purely reactive-free value -i g^2 mu^2 / eta."""
+def test_sigma_matrix_resonant_on_shell_value():
+    """With omega_c tuned to the local direct gap, Sigma_cv at omega = 2 Delta(k)
+    is the purely reactive-free value -i g^2 mu^2 / eta."""
     k = np.pi / 2
     gap = float(band_gap(k, TOPO))
     c = CavityParams(omega_c=gap, mass_beta=0.5, g=0.05, eta=1e-2)
-    _, e_c = band_energies(k, TOPO)
-    sigma = sigma_band(k, float(e_c), "conduction", TOPO, c)
+    sigma = sigma_matrix(k, 2.0 * gap, TOPO, c).sigma_cv
     mu = dipole(k, TOPO)
     expected = -1j * c.g**2 * mu * mu / c.eta
     assert abs(sigma - expected) < 1e-12 * abs(expected)
-
-
-def test_sigma_band_coupling_scaling():
-    doubled = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.1, eta=1e-2)
-    for band in BANDS:
-        ratio = sigma_band(0.9, 0.6, band, TOPO, doubled) / sigma_band(
-            0.9, 0.6, band, TOPO, CAV
-        )
-        assert abs(ratio - 4.0) < 1e-12
 
 
 def test_sigma_matrix_structure():
@@ -97,45 +75,35 @@ def test_sigma_matrix_coupling_scaling():
     assert abs(strong.sigma_vc / weak.sigma_vc - 4.0) < 1e-12
 
 
-def test_dispersive_sigma_flat_branch_collapses():
-    flat = CavityParams(omega_c=1.0, mass_beta=0.0, g=0.05, eta=1e-2)
-    q_max = 3.0
-    got = sigma_band_dispersive(1.1, 0.7, "conduction", TOPO, flat, n_q=512, q_max=q_max)
-    e_v, _ = band_energies(1.1, TOPO)
-    flat_value = (
-        flat.g**2
-        * dipole(1.1, TOPO) ** 2
-        * (q_max / np.pi)
-        * bare_photon_green(0.7 - float(e_v), flat)
-    )
-    assert abs(got - flat_value) < 1e-12 * abs(flat_value)
+def lamb_shift(k: float, omega: float, p: SshParams, c: CavityParams, n_w: int = 16384):
+    """Re Sigma_cv from the photon spectral weight (Kramers-Kronig):
+    g^2 mu^2 P int (dw/pi) Im G_cav(w) / (w - x) at x = omega - Delta(k). The
+    window covers the cavity Lorentzian and the pole; truncation error falls
+    off as eta / window^2."""
+    x = omega - float(band_gap(k, p))
+    window = max(5.0, 200.0 * c.eta) + abs(x - c.omega_c)
 
+    def spectral_part(w):
+        return np.imag(1.0 / (w - c.omega_c + 1j * c.eta)) / np.pi
 
-def test_dispersive_sigma_needs_a_window_for_flat_branches():
-    flat = CavityParams(omega_c=1.0, mass_beta=0.0, g=0.05, eta=1e-2)
-    with pytest.raises(ValueError):
-        sigma_band_dispersive(1.1, 0.7, "conduction", TOPO, flat)
-
-
-def test_dispersive_sigma_window_converged():
-    got = sigma_band_dispersive(1.1, 0.7, "conduction", TOPO, CAV, n_q=2048)
-    finer = sigma_band_dispersive(1.1, 0.7, "conduction", TOPO, CAV, n_q=4096)
-    assert abs(got - finer) < 1e-8 * abs(finer)
+    lo, hi = min(c.omega_c, x) - window, max(c.omega_c, x) + window
+    pv = principal_value(spectral_part, lo, hi, pole=x, n_k=n_w)
+    return float(c.g**2 * dipole(k, p) ** 2 * pv)
 
 
 def test_lamb_shift_matches_analytic_real_part():
     """The principal-value reconstruction through the photon spectral density
-    lands on Re sigma_band: the dispersion side of the same pole."""
+    lands on Re Sigma_cv: the dispersion side of the same pole."""
     k = np.pi / 2
     _, e_c = band_energies(k, TRIVIAL)
-    shift = lamb_shift(k, float(e_c), TRIVIAL, CAV, n_w=16384)
-    reference = sigma_band(k, float(e_c), "conduction", TRIVIAL, CAV).real
+    shift = lamb_shift(k, float(e_c), TRIVIAL, CAV)
+    reference = sigma_matrix(k, float(e_c), TRIVIAL, CAV).sigma_cv.real
     assert abs(shift - reference) < 0.01 * abs(reference)
 
 
 def test_lamb_shift_second_point():
-    shift = lamb_shift(1.3, 1.2, TOPO, CAV, n_w=16384)
-    reference = sigma_band(1.3, 1.2, "conduction", TOPO, CAV).real
+    shift = lamb_shift(1.3, 1.2, TOPO, CAV)
+    reference = sigma_matrix(1.3, 1.2, TOPO, CAV).sigma_cv.real
     assert abs(shift - reference) < 0.01 * abs(reference)
 
 

@@ -1,8 +1,23 @@
-"""The package's public names: every export resolves and is listed once."""
+"""The package's public names: one table, each module imported on first use."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
+import pytest
+
 import cavityssh
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cavityssh.__file__)))
+
+
+def run_python(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_every_export_resolves_and_appears_once():
@@ -10,3 +25,34 @@ def test_every_export_resolves_and_appears_once():
     assert repeated == []
     missing = sorted(name for name in cavityssh.__all__ if not hasattr(cavityssh, name))
     assert missing == []
+
+
+def test_every_export_is_the_object_its_owning_module_defines():
+    for name in cavityssh.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(cavityssh, name)
+        owner = f"cavityssh.{cavityssh._OWNER[name]}"
+        assert obj.__module__ == owner, name
+        assert getattr(sys.modules[owner], name) is obj, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cavityssh, "no_such_name")
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    probe = (
+        "import sys, cavityssh; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('cavityssh.')))"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_module_entry_reports_the_version():
+    result = run_python("-m", "cavityssh.cli", "--version")
+    assert result.returncode == 0, result.stderr
+    assert cavityssh.__version__ in result.stdout

@@ -15,10 +15,10 @@ from cavityssh import (
     gamma4_direct,
     gamma4_direct_grid,
     gamma4_stationary,
-    interaction_kernel,
     pairwise_sum,
     saddle_points,
 )
+from cavityssh.vertex import _kernel_matrix
 
 TRIVIAL = SshParams(1.0, 0.5)  # Delta0 = 1
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
@@ -27,16 +27,16 @@ EDGE = band_edge_params(TRIVIAL)
 
 def test_kernel_pointwise_values():
     kern = InteractionKernel(v0=2.0, zeta=4.0)
-    assert interaction_kernel(0.3, 0.3, kern) == 2.0
-    assert abs(interaction_kernel(0.0, 0.5, kern) - 2.0 * np.exp(-1.0)) < 1e-15
-    assert interaction_kernel(0.1, 0.7, kern) == interaction_kernel(0.7, 0.1, kern)
+    v = _kernel_matrix(np.array([0.0, 0.1, 0.3, 0.5, 0.7]), kern)
+    assert v[2, 2] == 2.0
+    assert abs(v[0, 3] - 2.0 * np.exp(-1.0)) < 1e-15
+    assert np.array_equal(v, v.T)
 
 
 def test_kernel_zero_range_is_flat():
     kern = InteractionKernel(v0=1.3, zeta=0.0)
-    ks = np.linspace(-np.pi, np.pi, 7)
-    for k in ks:
-        assert interaction_kernel(k, 0.2, kern) == 1.3
+    v = _kernel_matrix(np.append(np.linspace(-np.pi, np.pi, 7), 0.2), kern)
+    assert np.all(v == 1.3)
 
 
 def test_kernel_rejects_negative_range():
@@ -107,7 +107,6 @@ def test_saddle_points_reference_values():
     solution = saddle_points(EDGE.delta0, EDGE.delta0 + EDGE.curvature / 2.0, EDGE)
     assert solution.q1 == 0.0
     assert abs(solution.q2 - 1.0) < 1e-12
-    assert solution.above_threshold == (True, True)
 
 
 def test_saddle_points_threshold_errors_name_the_argument():
