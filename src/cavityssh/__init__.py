@@ -15,9 +15,8 @@ _EXPORTS = {
         "bloch_phase", "zak_phase", "band_edge_params",
     ),
     "cavity": (
-        "CavityParams", "SpectralMap", "BubbleTable", "photon_self_energy",
-        "self_energy_spectrum", "dressed_propagator", "spectral_function",
-        "spectral_map", "hopfield_branches",
+        "CavityParams", "BubbleTable", "photon_self_energy", "self_energy_spectrum",
+        "dressed_propagator", "spectral_function", "spectral_map", "hopfield_branches",
     ),
     "keldysh": (
         "ThermalState", "bose_occupation", "keldysh_green", "occupation",
@@ -41,8 +40,8 @@ _EXPORTS = {
         "dressed_bands", "DressedBandSweep", "dressed_band_sweep",
     ),
     "numerics": (
-        "FrequencyGrid", "ComplexSpectrum", "pairwise_sum", "zone_trapezoid",
-        "bz_integrate", "simpson_integrate", "principal_value", "complex_newton",
+        "FrequencyGrid", "pairwise_sum", "zone_trapezoid", "bz_integrate",
+        "simpson_integrate", "principal_value", "complex_newton",
     ),
     "errors": (
         "CavitySshError", "GaplessPointError", "CriticalPointError",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError
 from .lattice import SshParams, band_gap, dipole
-from .numerics import DEFAULT_NK, ComplexSpectrum, FrequencyGrid, pairwise_sum, zone_trapezoid
+from .numerics import DEFAULT_NK, FrequencyGrid, pairwise_sum, zone_trapezoid
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,6 @@ class CavityParams:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-
-
-@dataclass(frozen=True)
-class SpectralMap:
-    """A(omega, q) samples; values has shape (len(omega), len(q))."""
-
-    omega_grid: FrequencyGrid
-    q_grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.omega_grid.count, self.q_grid.count):
-            raise ValueError(
-                f"values shape {values.shape} does not match grids "
-                f"({self.omega_grid.count}, {self.q_grid.count})"
-            )
-        object.__setattr__(self, "values", values)
 
 
 class BubbleTable:
@@ -129,8 +111,8 @@ def self_energy_spectrum(
     c: CavityParams,
     n_k: int = DEFAULT_NK,
     threads: int = 1,
-) -> ComplexSpectrum:
-    """Sigma^R sampled on a frequency grid (threads chunk the sweep, speed only)."""
+) -> np.ndarray:
+    """Sigma^R at each frequency of the grid (threads chunk the sweep, speed only)."""
     table = BubbleTable(p, c.eta, n_k)
     omegas = grid.values
     out = np.empty(grid.count, dtype=complex)
@@ -140,7 +122,7 @@ def self_energy_spectrum(
             out[i] = c.g**2 * table.integral(omegas[i])
 
     _chunked(fill, grid.count, threads)
-    return ComplexSpectrum(grid=grid, samples=out)
+    return out
 
 
 def dressed_propagator(
@@ -179,9 +161,10 @@ def spectral_map(
     c: CavityParams,
     n_k: int = DEFAULT_NK,
     threads: int = 1,
-) -> SpectralMap:
-    """A(omega, q) on the product grid; the bubble is reused across q."""
-    sigma = self_energy_spectrum(omega_grid, p, c, n_k, threads=threads).samples
+) -> np.ndarray:
+    """A(omega, q) on the product grid, shape (len(omega), len(q)); the bubble
+    is reused across q."""
+    sigma = self_energy_spectrum(omega_grid, p, c, n_k, threads=threads)
     omegas = omega_grid.values
     qs = q_grid.values
     values = np.empty((omega_grid.count, q_grid.count), dtype=float)
@@ -194,7 +177,7 @@ def spectral_map(
             values[i, :] = -np.imag(1.0 / denom) / np.pi
 
     _chunked(fill, omega_grid.count, threads)
-    return SpectralMap(omega_grid=omega_grid, q_grid=q_grid, values=values)
+    return values
 
 
 def hopfield_branches(q, g: float, beta: float, delta_pi: float):

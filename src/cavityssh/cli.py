@@ -75,13 +75,11 @@ def _run_zak(cfg: RunConfig, threads: int, log):
 
 
 def _run_self_energy(cfg: RunConfig, threads: int, log):
-    spectrum = self_energy_spectrum(
+    sigma = self_energy_spectrum(
         cfg.omega_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
     )
-    rows = [
-        (float(w), s.real, s.imag)
-        for w, s in zip(cfg.omega_grid.values, spectrum.samples)
-    ]
+    columns = (cfg.omega_grid.values, sigma.real, sigma.imag)
+    rows = list(zip(*(column.tolist() for column in columns)))
     emissions = [("csv", "self_energy.csv", "omega,ReSigma,ImSigma", rows)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
@@ -91,7 +89,7 @@ def _run_spectrum(cfg: RunConfig, threads: int, log):
     smap = spectral_map(
         cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
     )
-    rows = _grid_rows(cfg.omega_grid, cfg.q_grid, smap.values)
+    rows = _grid_rows(cfg.omega_grid, cfg.q_grid, smap)
     emissions = [("csv", "spectrum.csv", "omega,q,A", rows)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
@@ -252,20 +250,14 @@ _HANDLERS = {
     "keldysh": _run_keldysh,
 }
 
-_HELP = {
-    "bands": "band energies, gap, dipole, and Bloch phase across the zone",
-    "zak": "Wilson-loop geometric phase of the occupied band",
-    "self-energy": "retarded photon self-energy on a frequency grid",
-    "spectrum": "dressed cavity spectral map A(omega, q)",
-    "hopfield": "two-level reference polariton branches",
-    "kerr-scan": "photon nonlinearity fit vs hopping ratio",
-    "vertex": "direct four-photon vertex on a frequency square",
-    "saddle": "stationary-phase four-photon vertex on a frequency square",
-    "biphoton": "two-photon input/output states and their Schmidt spectrum",
-    "schmidt-scan": "Schmidt entropy vs interaction range",
-    "dressed-bands": "cavity-dressed electronic bands and interband self-energy",
-    "keldysh": "thermal Green functions and mode occupation",
-}
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="JSON run configuration")
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_thread_count, default=1,
         help="worker threads for grid sweeps; never changes results",
     )
     common.add_argument("--verbose", action="store_true", help="progress on stderr")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        subparsers.add_parser(name, parents=[common], help=_HELP[name])
+    for name, spec in COMMANDS.items():
+        subparsers.add_parser(name, parents=[common], help=spec.help)
     return parser
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .cavity import CavityParams
 from .errors import ConfigInvalidError
@@ -19,43 +19,58 @@ from .lattice import SshParams
 from .numerics import DEFAULT_NK, MIN_NK, FrequencyGrid
 from .vertex import DEFAULT_NK2D, InteractionKernel
 
-COMMANDS = (
-    "bands",
-    "zak",
-    "self-energy",
-    "spectrum",
-    "hopfield",
-    "kerr-scan",
-    "vertex",
-    "saddle",
-    "biphoton",
-    "schmidt-scan",
-    "dressed-bands",
-    "keldysh",
-)
 
-# commands that require a frequency grid / a momentum grid
-_NEEDS_OMEGA = {
-    "self-energy", "spectrum", "vertex", "saddle", "biphoton",
-    "schmidt-scan", "keldysh",
+class Command(NamedTuple):
+    """One CLI command: its help line, the optional sections (cavity, kernel,
+    thermal) and grids (omega, q) it reads, and its params schema
+    key -> (kind, default, minimum). A None default means required; a
+    callable default is derived from the parsed (model, cavity)."""
+
+    help: str
+    reads: tuple[str, ...]
+    params: dict[str, tuple[str, Any, int | None]]
+
+
+# smallest accepted integer params: n_points one sample, n_max three rungs
+# for the quadratic fit
+COMMANDS = {
+    "bands": Command("band energies, gap, dipole, and Bloch phase across the zone", (),
+                     {"n_points": ("int", 256, 1)}),
+    "zak": Command("Wilson-loop geometric phase of the occupied band", (), {}),
+    "self-energy": Command("retarded photon self-energy on a frequency grid",
+                           ("cavity", "omega"), {}),
+    "spectrum": Command("dressed cavity spectral map A(omega, q)", ("cavity", "omega", "q"), {}),
+    "hopfield": Command("two-level reference polariton branches", ("cavity", "q"),
+                        {"g": ("number", lambda model, cavity: cavity.g, None),
+                         "delta_pi": ("number", lambda model, cavity: model.edge_gap, None)}),
+    "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
+                         {"r_values": ("number_list", None, None), "n_max": ("int", 5, 2)}),
+    "vertex": Command("direct four-photon vertex on a frequency square",
+                      ("cavity", "kernel", "omega"), {}),
+    "saddle": Command("stationary-phase four-photon vertex on a frequency square",
+                      ("cavity", "kernel", "omega"), {}),
+    "biphoton": Command("two-photon input/output states and their Schmidt spectrum",
+                        ("kernel", "omega"),
+                        {"omega0": ("number", None, None), "sigma": ("number", None, None)}),
+    "schmidt-scan": Command("Schmidt entropy vs interaction range", ("kernel", "omega"),
+                            {"omega0": ("number", None, None), "sigma": ("number", None, None),
+                             "zeta_values": ("number_list", None, None)}),
+    "dressed-bands": Command("cavity-dressed electronic bands and interband self-energy",
+                             ("cavity",), {"n_points": ("int", 256, 1),
+                                           "onshell": ("bool", True, None),
+                                           "omega": ("number", 0.0, None)}),
+    "keldysh": Command("thermal Green functions and mode occupation",
+                       ("cavity", "thermal", "omega", "q"), {}),
 }
-_NEEDS_Q = {"spectrum", "hopfield", "keldysh"}
 
-# the optional physics sections each command reads; the others are
-# key-checked when present but never built, so their defaults cannot fail
-_CONSUMES = {
-    "bands": (),
-    "zak": (),
-    "self-energy": ("cavity",),
-    "spectrum": ("cavity",),
-    "hopfield": ("cavity",),
-    "kerr-scan": ("cavity",),
-    "vertex": ("cavity", "kernel"),
-    "saddle": ("cavity", "kernel"),
-    "biphoton": ("kernel",),
-    "schmidt-scan": ("kernel",),
-    "dressed-bands": ("cavity",),
-    "keldysh": ("cavity", "thermal"),
+# the optional physics sections: record type and key -> default, a callable
+# default derived from the model. Every section present is key-checked, but
+# only those a command reads are built, so the others' defaults cannot fail
+_SECTIONS = {
+    "cavity": (CavityParams, {"omega_c": lambda model: model.edge_gap, "mass_beta": 0.5,
+                              "g": 1.0, "eta": 0.01}),
+    "kernel": (InteractionKernel, {"v0": 1.0, "zeta": 0.0}),
+    "thermal": (ThermalState, {"temperature": 0.0}),
 }
 
 
@@ -155,54 +170,16 @@ def _grid(mapping: dict, key: str, where: str) -> FrequencyGrid | None:
         raise ConfigInvalidError(f"{where}.{key}: {exc}") from exc
 
 
-def _edge_gap(model: SshParams) -> float:
-    """Direct gap 2|t1 - t2| at the zone edge k = pi."""
-    return 2.0 * abs(model.t1 - model.t2)
-
-
-# per-command params schema: key -> (kind, default); default None means required,
-# a callable default is derived from the parsed (model, cavity)
-_PARAM_SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
-    "bands": {"n_points": ("int", 256)},
-    "zak": {},
-    "self-energy": {},
-    "spectrum": {},
-    "hopfield": {
-        "g": ("number", lambda model, cavity: cavity.g),
-        "delta_pi": ("number", lambda model, cavity: _edge_gap(model)),
-    },
-    "kerr-scan": {"r_values": ("number_list", None), "n_max": ("int", 5)},
-    "vertex": {},
-    "saddle": {},
-    "biphoton": {"omega0": ("number", None), "sigma": ("number", None)},
-    "schmidt-scan": {
-        "omega0": ("number", None),
-        "sigma": ("number", None),
-        "zeta_values": ("number_list", None),
-    },
-    "dressed-bands": {
-        "n_points": ("int", 256),
-        "onshell": ("bool", True),
-        "omega": ("number", 0.0),
-    },
-    "keldysh": {},
-}
-
-# smallest accepted integer params: one sample, and three rungs for the quadratic fit
-_INT_MINIMA = {"n_points": 1, "n_max": 2}
-
-
-def _parse_params(section: dict, command: str, model: SshParams, cavity: CavityParams) -> dict:
-    schema = _PARAM_SCHEMAS[command]
+def _parse_params(section: dict, schema: dict, model: SshParams, cavity: CavityParams) -> dict:
     _check_keys(section, schema, "params")
     out: dict[str, Any] = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, minimum) in schema.items():
         if callable(default):
             default = default(model, cavity)
         if kind == "number":
             out[key] = _number(section, key, "params", default)
         elif kind == "int":
-            out[key] = _integer(section, key, "params", default, _INT_MINIMA.get(key))
+            out[key] = _integer(section, key, "params", default, minimum)
         elif kind == "bool":
             out[key] = _boolean(section, key, "params", default)
         elif kind == "number_list":
@@ -215,19 +192,16 @@ def parse_config(document: dict, command: str) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigInvalidError(f"unknown command {command!r}")
     root = _require_mapping(document, "config")
-    _check_keys(
-        root, ("command", "model", "cavity", "kernel", "thermal", "grids", "params"),
-        "config",
-    )
+    _check_keys(root, ("command", "model", *_SECTIONS, "grids", "params"), "config")
     declared = root.get("command")
     if declared is not None and declared != command:
         raise ConfigInvalidError(
             f"config declares command {declared!r} but {command!r} was invoked"
         )
 
-    model_sec = _require_mapping(root.get("model", None), "model") if "model" in root else None
-    if model_sec is None:
+    if "model" not in root:
         raise ConfigInvalidError("model section is required")
+    model_sec = _require_mapping(root["model"], "model")
     _check_keys(model_sec, ("t1", "t2"), "model")
     try:
         model = SshParams(
@@ -236,41 +210,20 @@ def parse_config(document: dict, command: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalidError(f"model: {exc}") from exc
 
-    consumed = _CONSUMES[command]
-    cavity_sec = _require_mapping(root.get("cavity", {}), "cavity")
-    _check_keys(cavity_sec, ("omega_c", "mass_beta", "g", "eta"), "cavity")
-    cavity = None
-    if "cavity" in consumed:
+    spec = COMMANDS[command]
+    sections = dict.fromkeys(_SECTIONS)  # None where the command does not read it
+    for name, (record, defaults) in _SECTIONS.items():
+        section = _require_mapping(root.get(name, {}), name)
+        _check_keys(section, defaults, name)
+        if name not in spec.reads:
+            continue
         try:
-            cavity = CavityParams(
-                omega_c=_number(cavity_sec, "omega_c", "cavity", _edge_gap(model)),
-                mass_beta=_number(cavity_sec, "mass_beta", "cavity", 0.5),
-                g=_number(cavity_sec, "g", "cavity", 1.0),
-                eta=_number(cavity_sec, "eta", "cavity", 0.01),
-            )
+            sections[name] = record(**{
+                key: _number(section, key, name, default(model) if callable(default) else default)
+                for key, default in defaults.items()
+            })
         except ValueError as exc:
-            raise ConfigInvalidError(f"cavity: {exc}") from exc
-
-    kernel_sec = _require_mapping(root.get("kernel", {}), "kernel")
-    _check_keys(kernel_sec, ("v0", "zeta"), "kernel")
-    kernel = None
-    if "kernel" in consumed:
-        try:
-            kernel = InteractionKernel(
-                v0=_number(kernel_sec, "v0", "kernel", 1.0),
-                zeta=_number(kernel_sec, "zeta", "kernel", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigInvalidError(f"kernel: {exc}") from exc
-
-    thermal_sec = _require_mapping(root.get("thermal", {}), "thermal")
-    _check_keys(thermal_sec, ("temperature",), "thermal")
-    thermal = None
-    if "thermal" in consumed:
-        try:
-            thermal = ThermalState(_number(thermal_sec, "temperature", "thermal", 0.0))
-        except ValueError as exc:
-            raise ConfigInvalidError(f"thermal: {exc}") from exc
+            raise ConfigInvalidError(f"{name}: {exc}") from exc
 
     grids_sec = _require_mapping(root.get("grids", {}), "grids")
     _check_keys(grids_sec, ("n_k", "n_k2d", "omega", "q"), "grids")
@@ -279,10 +232,9 @@ def parse_config(document: dict, command: str) -> RunConfig:
     omega_grid = _grid(grids_sec, "omega", "grids")
     q_grid = _grid(grids_sec, "q", "grids")
 
-    if command in _NEEDS_OMEGA and omega_grid is None:
-        raise ConfigInvalidError(f"command {command!r} requires grids.omega")
-    if command in _NEEDS_Q and q_grid is None:
-        raise ConfigInvalidError(f"command {command!r} requires grids.q")
+    for key, grid in (("omega", omega_grid), ("q", q_grid)):
+        if key in spec.reads and grid is None:
+            raise ConfigInvalidError(f"command {command!r} requires grids.{key}")
     if command == "keldysh" and omega_grid.start <= 0:
         raise ConfigInvalidError(
             "keldysh requires a strictly positive frequency grid (occupation "
@@ -290,14 +242,12 @@ def parse_config(document: dict, command: str) -> RunConfig:
         )
 
     params = _parse_params(_require_mapping(root.get("params", {}), "params"),
-                           command, model, cavity)
+                           spec.params, model, sections["cavity"])
 
     return RunConfig(
         command=command,
         model=model,
-        cavity=cavity,
-        kernel=kernel,
-        thermal=thermal,
+        **sections,
         n_k=n_k,
         n_k2d=n_k2d,
         omega_grid=omega_grid,

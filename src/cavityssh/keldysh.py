@@ -41,8 +41,6 @@ class ThermalState:
 class KeldyshMap(NamedTuple):
     """G^K, A and n samples; each array has shape (len(omega), len(q))."""
 
-    omega_grid: FrequencyGrid
-    q_grid: FrequencyGrid
     g_keldysh: np.ndarray
     spectral: np.ndarray
     occupation: np.ndarray
@@ -136,7 +134,7 @@ def keldysh_map(
     Sigma^K; per (omega, q): one G^R, from which G^K, A = -Im G^R / pi and n
     follow. Raises ZeroSpectralWeightError where Im G^R >= 0, like `occupation`.
     """
-    sigmas = self_energy_spectrum(omega_grid, p, c, n_k).samples.tolist()
+    sigmas = self_energy_spectrum(omega_grid, p, c, n_k).tolist()
     qs = q_grid.values.tolist()
     shape = (omega_grid.count, q_grid.count)
     g_keldysh = np.empty(shape, dtype=complex)
@@ -154,4 +152,4 @@ def keldysh_map(
         g_keldysh[i] = row_gk
         spectral[i] = row_a
         occupations[i] = row_n
-    return KeldyshMap(omega_grid, q_grid, g_keldysh, spectral, occupations)
+    return KeldyshMap(g_keldysh, spectral, occupations)

@@ -150,7 +150,7 @@ def _scan_row(
     """One ratio of kerr_scan. Its zone table serves the closed form and the
     ladder and is released on return, before the next ratio builds its own."""
     p_r = SshParams(p.t1, r * p.t1)
-    c_r = replace(c, omega_c=2.0 * abs(p_r.t1 - p_r.t2))
+    c_r = replace(c, omega_c=p_r.edge_gap)
     table = BubbleTable(p_r, c_r.eta, n_k)
     at_omega_c = table.integral(c_r.omega_c)
     u_closed = c_r.g**2 * at_omega_c  # kerr_closed_form from this table

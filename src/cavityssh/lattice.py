@@ -34,6 +34,11 @@ class SshParams:
     def ratio(self) -> float:
         return self.t2 / self.t1
 
+    @property
+    def edge_gap(self) -> float:
+        """Direct gap 2|t1 - t2| at the zone edge k = pi."""
+        return 2.0 * abs(self.t1 - self.t2)
+
 
 @dataclass(frozen=True)
 class BandEdgeParams:
@@ -118,10 +123,9 @@ def band_edge_params(
         raise CriticalPointError(
             f"ratio {p.ratio} within {critical_tol} of the gap closure; edge expansion undefined"
         )
-    delta0 = 2.0 * abs(p.t1 - p.t2)
     h = fd_step
     gaps = band_gap(np.array([np.pi - h, np.pi, np.pi + h]), p)
     curvature = float((gaps[0] - 2.0 * gaps[1] + gaps[2]) / h**2)
     mus = dipole(np.array([np.pi - h, np.pi + h]), p)
     dipole_slope = float(abs(mus[1] - mus[0]) / (2.0 * h))
-    return BandEdgeParams(delta0=delta0, curvature=curvature, dipole_slope=dipole_slope)
+    return BandEdgeParams(delta0=p.edge_gap, curvature=curvature, dipole_slope=dipole_slope)

@@ -46,22 +46,6 @@ class FrequencyGrid:
         return (self.stop - self.start) / (self.count - 1)
 
 
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Complex-valued samples attached to the frequency grid they live on."""
-
-    grid: FrequencyGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.shape != (self.grid.count,):
-            raise ValueError(
-                f"expected {self.grid.count} samples, got shape {samples.shape}"
-            )
-        object.__setattr__(self, "samples", samples)
-
-
 def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
     """Sum by repeated adjacent pairing (deterministic reduction order).
 

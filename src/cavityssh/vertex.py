@@ -77,20 +77,21 @@ def gamma4_direct_grid(
 
     Row i is one row-wise pairwise sum over all omega2; pairwise_sum brackets
     each row as it brackets a single vector, so the entries equal the
-    per-pair sums bit for bit.
+    per-pair sums bit for bit. All inner sums come first, so the zone-squared
+    kernel and product buffers are freed before the outer sums allocate.
     """
     table = BubbleTable(p, c.eta, n_k)
     v = _kernel_matrix(table.nodes, kern)
     bvecs = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)])
-    scale = (2.0 * np.pi) ** 2
     product = np.empty(v.shape, dtype=complex)
     pair = np.empty((2, (v.shape[1] + 1) // 2, v.shape[0]), dtype=complex)
-    rows = []
-    for bv in bvecs:
+    inner = np.empty(bvecs.shape, dtype=complex)
+    for row, bv in zip(inner, bvecs):
         np.multiply(v, bv[None, :], out=product)
-        inner = pairwise_sum(product, axis=1, scratch=pair)
-        rows.append(pairwise_sum(inner * bvecs, axis=-1) / scale)
-    return np.stack(rows)
+        row[:] = pairwise_sum(product, axis=1, scratch=pair)
+    del v, product, pair
+    scale = (2.0 * np.pi) ** 2
+    return np.stack([pairwise_sum(row * bvecs, axis=-1) / scale for row in inner])
 
 
 def saddle_points(omega1: float, omega2: float, edge: BandEdgeParams) -> SaddleSolution:

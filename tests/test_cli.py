@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityssh import (
     CavityParams,
@@ -34,7 +37,7 @@ from cavityssh import (
 )
 from cavityssh import cli
 from cavityssh.cli import main
-from cavityssh.config import COMMANDS, parse_config
+from cavityssh.config import _SECTIONS, COMMANDS, RunConfig, parse_config
 from cavityssh.output import format_cell, write_csv
 
 BANDS_DOC = {
@@ -186,6 +189,49 @@ def test_preset_configs_parse():
     for name, command in presets.items():
         with open(os.path.join(root, name)) as fh:
             parse_config(json.load(fh), command)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+# plausible leaves too, so that some documents build a config
+JSON = (JSON | st.floats(0.01, 4.0) | st.integers(64, 256)
+        | st.lists(st.floats(0.01, 4.0), min_size=1, max_size=3))
+
+
+def json_object(keys, **values):
+    """Any JSON value, or (three times as likely) an object over some of `keys`,
+    each holding any JSON value unless `values` gives its strategy."""
+    fields = st.fixed_dictionaries({}, optional={key: values.get(key, JSON) for key in keys})
+    return st.one_of(fields, fields, fields, JSON)
+
+
+GRID = json_object(("start", "stop", "count"))
+SECTIONS = {
+    "command": JSON | st.sampled_from(list(COMMANDS)),
+    "model": json_object(("t1", "t2")),
+    **{name: json_object(defaults) for name, (_, defaults) in _SECTIONS.items()},
+    "grids": json_object(("n_k", "n_k2d", "omega", "q"), omega=GRID, q=GRID),
+    "params": json_object(sorted({key for spec in COMMANDS.values() for key in spec.params})),
+}
+# half the documents carry a model and no declared command, so that some build
+DOCUMENT = st.fixed_dictionaries({}, optional=SECTIONS) | st.fixed_dictionaries(
+    {"model": st.fixed_dictionaries({"t1": JSON, "t2": JSON})},
+    optional={key: value for key, value in SECTIONS.items() if key not in ("command", "model")},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=DOCUMENT, command=st.sampled_from(list(COMMANDS)))
+def test_parse_config_builds_or_rejects_any_document(document, command):
+    try:
+        cfg = parse_config(document, command)
+    except ConfigInvalidError:
+        return
+    assert isinstance(cfg, RunConfig) and cfg.command == command
 
 
 # ---------------------------------------------------------------------- output
@@ -565,6 +611,17 @@ def test_unknown_command_is_an_argparse_error(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_an_argparse_error(tmp_path, capsys, threads):
+    config = write_doc(tmp_path, BANDS_DOC)
+    with pytest.raises(SystemExit) as info:
+        main(["self-energy", "--config", config, "--out", str(tmp_path / "o"),
+              "--threads", threads])
+    assert info.value.code == 2
+    assert f"must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -572,9 +629,33 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_every_command_is_wired():
+def test_every_command_is_wired(capsys):
     assert len(COMMANDS) == 12
     assert set(COMMANDS) == {
         "bands", "zak", "self-energy", "spectrum", "hopfield", "kerr-scan",
         "vertex", "saddle", "biphoton", "schmidt-scan", "dressed-bands", "keldysh",
     }
+    assert set(cli._HANDLERS) == set(COMMANDS)
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    listing = "".join(capsys.readouterr().out.split())  # argparse wraps the help lines
+    for name, spec in COMMANDS.items():
+        assert "".join(spec.help.split()) in listing
+        with pytest.raises(SystemExit) as info:
+            main([name, "--help"])
+        assert info.value.code == 0
+        assert f"usage: cavityssh {name}" in capsys.readouterr().out
+
+
+def test_readme_command_table_matches_the_command_table():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (.*) \| (.*) \|$", fh.read(), re.M)
+    table = {name: cells for name, *cells in rows}
+    assert list(table) == list(COMMANDS)
+    for name, (sections, grids, params) in table.items():
+        spec = COMMANDS[name]
+        assert re.findall(r"[a-z]+", sections) == [s for s in _SECTIONS if s in spec.reads]
+        assert re.findall(r"\b(omega|q)\b", grids) == [g for g in ("omega", "q") if g in spec.reads]
+        assert re.findall(r"`(\w+)`", params) == list(spec.params)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cavityssh import (
-    ComplexSpectrum,
     DegenerateDesignError,
     FrequencyGrid,
     NoConvergenceError,
@@ -39,12 +38,6 @@ def test_frequency_grid_rejects_bad_ranges():
         FrequencyGrid(2.0, 1.0, 8)
     with pytest.raises(ValueError):
         FrequencyGrid(0.0, 1.0, 1)
-
-
-def test_complex_spectrum_checks_shape():
-    grid = FrequencyGrid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        ComplexSpectrum(grid=grid, samples=np.zeros(5, dtype=complex))
 
 
 def test_pairwise_sum_matches_fsum():
