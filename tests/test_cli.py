@@ -1,5 +1,6 @@
 """Config validation, CSV emission, manifests, and exit codes of the batch CLI."""
 
+import functools
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityssh import (
+    BelowThresholdError,
     CavityParams,
     ConfigInvalidError,
     FrequencyGrid,
@@ -28,12 +30,15 @@ from cavityssh import (
     dressed_propagator,
     entropy_scan,
     gamma4_direct_grid,
+    gamma4_stationary,
     hopfield_branches,
     input_state,
     keldysh_green,
+    kerr_scan,
     occupation,
     scattered_pair,
     sigma_matrix,
+    zak_phase,
 )
 from cavityssh import cli
 from cavityssh.cli import main
@@ -339,8 +344,13 @@ def test_spectrum_rows_are_row_major_in_omega(tmp_path):
     assert np.all(np.diff(table["q"][:9]) > 0)
 
 
-def format_cell_csv(header, rows):
-    lines = [header] + [",".join(format_cell(cell) for cell in row) for row in rows]
+def format_cell_csv(first_line, rows):
+    """The bytes of a CSV: the first line, then one line per row whose numbers
+    print as format(x, ".17g") (True and False as 1 and 0) and text verbatim."""
+    lines = [first_line] + [
+        ",".join(cell if isinstance(cell, str) else format(cell, ".17g") for cell in row)
+        for row in rows
+    ]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -495,6 +505,88 @@ def test_schmidt_scan_run_matches_library(tmp_path):
     table = np.genfromtxt(out_dir / "schmidt_scan.csv", delimiter=",", names=True)
     assert table.shape == (2,)
     assert table["S_nats"][1] > table["S_nats"][0]
+
+
+def test_zak_csv_equals_the_library_phase(tmp_path):
+    doc = {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 256}}
+    code, out_dir = run_cli(tmp_path, doc, "zak")
+    assert code == 0
+    expected = format_cell_csv("t1,t2,zak", [(1.0, 1.5, zak_phase(SshParams(1.0, 1.5), n_k=256))])
+    assert (out_dir / "zak.csv").read_bytes() == expected
+
+
+def test_saddle_csv_equals_the_stationary_values(tmp_path):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"omega_c": 1.0, "mass_beta": 0.5, "g": 1.0, "eta": 0.02},
+        "kernel": {"v0": 1.3, "zeta": 10.0},
+        "grids": {"omega": {"start": 0.8, "stop": 1.3, "count": 6}},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "saddle")
+    assert code == 0
+    kern, edge = InteractionKernel(1.3, 10.0), band_edge_params(SshParams(1.0, 0.5))
+    nan, rows = float("nan"), []
+    for w1 in np.linspace(0.8, 1.3, 6):
+        for w2 in np.linspace(0.8, 1.3, 6):
+            w1, w2 = float(w1), float(w2)
+            try:
+                value = gamma4_stationary(w1, w2, kern, edge, 0.02)
+                rows.append((w1, w2, value.real, value.imag, "stationary"))
+            except BelowThresholdError:
+                rows.append((w1, w2, nan, nan, "stationary"))
+    below = sum(np.isnan(row[2]) for row in rows)
+    assert 0 < below < len(rows)
+    expected = format_cell_csv("omega1,omega2,ReG4,ImG4,method", rows)
+    assert (out_dir / "gamma4.csv").read_bytes() == expected
+    assert read_manifest(out_dir)["metadata"]["below_threshold_points"] == below
+
+
+def test_schmidt_scan_csv_equals_the_library_rows(tmp_path):
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.8},
+        "kernel": {"v0": 1.3},
+        "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 40}},
+        "params": {"omega0": 1.0, "sigma": 0.1, "zeta_values": [0.0, 2.0, 7.5]},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "schmidt-scan")
+    assert code == 0
+    edge = band_edge_params(SshParams(1.0, 0.8))
+    scan = entropy_scan([0.0, 2.0, 7.5], FrequencyGrid(0.6, 1.4, 40), 1.0, 0.1, edge, v0=1.3)
+    rows = [(row.zeta, row.entropy_nats, row.entropy_bits, *row.leading,
+             row.ratio_fit, row.fit_r2) for row in scan]
+    expected = format_cell_csv(
+        "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,fit_r2", rows
+    )
+    assert (out_dir / "schmidt_scan.csv").read_bytes() == expected
+
+
+def test_kerr_csv_equals_the_scan_rows_with_unconverged_ones(tmp_path, monkeypatch):
+    """Two Newton steps converge the lower ratios at g = 0.05 but not the upper
+    ones; an unconverged row prints nan fits and converged = 0."""
+    limited = functools.partial(kerr_scan, max_iter=2)
+    monkeypatch.setattr(cli, "kerr_scan", limited)
+    doc = {
+        "model": {"t1": 1.0, "t2": 0.5},
+        "cavity": {"mass_beta": 0.5, "g": 0.05, "eta": 0.001},
+        "grids": {"n_k": 4096},
+        "params": {"r_values": [0.5, 0.7, 1.3, 1.5], "n_max": 3},
+    }
+    code, out_dir = run_cli(tmp_path, doc, "kerr-scan")
+    assert code == 0
+    scan = limited([0.5, 0.7, 1.3, 1.5], SshParams(1.0, 0.5),
+                   CavityParams(1.0, 0.5, 0.05, 0.001), n_k=4096, n_max=3)
+    assert [row.converged for row in scan] == [True, True, False, False]
+    nan, rows = float("nan"), []
+    for row in scan:
+        fit = row.result
+        if fit is None:
+            rows.append((row.r, nan, nan, nan, nan, nan, nan, False))
+        else:
+            rows.append((row.r, fit.omega0, fit.u.real, fit.u.imag, fit.uprime.real,
+                         fit.uprime.imag, fit.fit_residual, True))
+    expected = format_cell_csv("r,omega0,ReU,ImU,ReUprime,ImUprime,residual,converged", rows)
+    assert (out_dir / "kerr.csv").read_bytes() == expected
+    assert read_manifest(out_dir)["convergence"]["all_rows_converged"] is False
 
 
 def test_compute_failure_exits_3_with_error_manifest(tmp_path):
