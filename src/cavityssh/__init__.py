@@ -23,8 +23,7 @@ _EXPORTS = {
         "KeldyshMap", "keldysh_map",
     ),
     "kerr": (
-        "KerrResult", "KerrScanRow", "solve_omega_sequence", "kerr_from_fit",
-        "kerr_closed_form", "kerr_scan",
+        "KerrResult", "KerrScanRow", "solve_omega_sequence", "kerr_from_fit", "kerr_scan",
     ),
     "vertex": (
         "InteractionKernel", "SaddleSolution", "gamma4_direct", "gamma4_direct_grid",

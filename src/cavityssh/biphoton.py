@@ -95,7 +95,7 @@ def apply_vertex(state: BiphotonState, vertex_values: np.ndarray) -> BiphotonSta
     return BiphotonState(grid=state.grid, amplitude=_normalize(product, state.grid.spacing))
 
 
-def schmidt_decompose(state: BiphotonState, n_max: int | None = None) -> SchmidtSpectrum:
+def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
     """Schmidt weights lambda_n = sigma_n^2 / sum sigma^2 from the measured SVD.
 
     The grid spacing is absorbed into the matrix (amplitude * d omega), making
@@ -104,8 +104,6 @@ def schmidt_decompose(state: BiphotonState, n_max: int | None = None) -> Schmidt
     singular = svd_singular_values(state.amplitude * state.grid.spacing)
     weights = singular**2
     weights = weights / float(pairwise_sum(weights))
-    if n_max is not None:
-        weights = weights[:n_max]
     positive = weights[weights > 0]
     entropy = float(-pairwise_sum(positive * np.log(positive)))
     return SchmidtSpectrum(

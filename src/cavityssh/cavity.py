@@ -7,6 +7,7 @@ setting g = 1 recovers the bare-bubble normalization of the dressed spectra.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -163,21 +164,12 @@ def spectral_map(
     threads: int = 1,
 ) -> np.ndarray:
     """A(omega, q) on the product grid, shape (len(omega), len(q)); the bubble
-    is reused across q."""
+    is reused across q, and `threads` chunk only the bubble sweep."""
     sigma = self_energy_spectrum(omega_grid, p, c, n_k, threads=threads)
-    omegas = omega_grid.values
-    qs = q_grid.values
-    values = np.empty((omega_grid.count, q_grid.count), dtype=float)
-
-    def fill(indices):
-        for i in indices:
-            denom = (
-                omegas[i] - c.omega_c - c.mass_beta * qs * qs - sigma[i] + 1j * c.eta
-            )
-            values[i, :] = -np.imag(1.0 / denom) / np.pi
-
-    _chunked(fill, omega_grid.count, threads)
-    return values
+    w, q = omega_grid.values, q_grid.values
+    return -np.imag(
+        1.0 / (w[:, None] - c.omega_c - c.mass_beta * q * q - sigma[:, None] + 1j * c.eta)
+    ) / np.pi
 
 
 def hopfield_branches(q, g: float, beta: float, delta_pi: float):
@@ -190,9 +182,9 @@ def hopfield_branches(q, g: float, beta: float, delta_pi: float):
 
 
 def _chunked(fill, total: int, threads: int) -> None:
-    """Run fill(range) over [0, total) split across threads; output indexed, so
-    the result is identical for any thread count."""
-    threads = max(1, int(threads))
+    """Run fill(range) over [0, total) split across threads, at most one per
+    CPU; output indexed, so the result is identical for any thread count."""
+    threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or total < 2 * threads:
         fill(range(total))
         return

@@ -10,11 +10,11 @@ failure. Exit codes: 0 ok, 2 invalid config, 3 computation failed, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 import time
 import traceback
+from dataclasses import astuple
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .config import COMMANDS, RunConfig, load_config
 from .dressing import dressed_band_sweep
 from .errors import BelowThresholdError, CavitySshError, ConfigInvalidError
 from .keldysh import keldysh_map
-from .kerr import kerr_scan
+from .kerr import KerrResult, kerr_scan
 from .lattice import (
     GAPLESS_FLOOR, band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase,
 )
-from .output import write_csv, write_manifest, write_matrix_csv
+from .output import write_csv, write_manifest
 from .vertex import gamma4_direct_grid, gamma4_stationary
 
 _BUBBLE_NOTE = (
@@ -42,15 +42,10 @@ _KERNEL_NOTE = (
 )
 
 
-def _grid_rows(omega_grid, q_grid, *columns):
-    """Rows (omega, q, *values), omega outer and q inner, from (n_omega, n_q)
-    arrays; the omega and q cells share one float object per grid point."""
-    qs = q_grid.values.tolist()
-    rows = []
-    for omega, *values in zip(omega_grid.values.tolist(),
-                              *(column.tolist() for column in columns)):
-        rows.extend(zip(itertools.repeat(omega), qs, *values))
-    return rows
+def _grid_columns(outer, inner):
+    """The coordinate columns of an (outer, inner) map read row by row: outer
+    repeated, inner cycled, to sit beside the map's .ravel()."""
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
 def _run_bands(cfg: RunConfig, threads: int, log):
@@ -63,15 +58,14 @@ def _run_bands(cfg: RunConfig, threads: int, log):
     theta = np.full(ks.size, np.nan)
     mu[gapped] = dipole(ks[gapped], cfg.model)
     theta[gapped] = bloch_phase(ks[gapped], cfg.model)
-    rows = list(zip(*(column.tolist() for column in (ks, gaps, e_v, e_c, mu, theta))))
-    emissions = [("csv", "bands.csv", "k,gap,eps_v,eps_c,mu,theta", rows)]
+    emissions = [("bands.csv", "k,gap,eps_v,eps_c,mu,theta", (ks, gaps, e_v, e_c, mu, theta))]
     return emissions, {"completed": True}, {"gapless_points": int(np.count_nonzero(~gapped))}
 
 
 def _run_zak(cfg: RunConfig, threads: int, log):
     phase = zak_phase(cfg.model, n_k=cfg.n_k)
-    rows = [(cfg.model.t1, cfg.model.t2, phase)]
-    return [("csv", "zak.csv", "t1,t2,zak", rows)], {"completed": True}, {}
+    columns = ([cfg.model.t1], [cfg.model.t2], [phase])
+    return [("zak.csv", "t1,t2,zak", columns)], {"completed": True}, {}
 
 
 def _run_self_energy(cfg: RunConfig, threads: int, log):
@@ -79,8 +73,7 @@ def _run_self_energy(cfg: RunConfig, threads: int, log):
         cfg.omega_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
     )
     columns = (cfg.omega_grid.values, sigma.real, sigma.imag)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    emissions = [("csv", "self_energy.csv", "omega,ReSigma,ImSigma", rows)]
+    emissions = [("self_energy.csv", "omega,ReSigma,ImSigma", columns)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
 
@@ -89,8 +82,8 @@ def _run_spectrum(cfg: RunConfig, threads: int, log):
     smap = spectral_map(
         cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
     )
-    rows = _grid_rows(cfg.omega_grid, cfg.q_grid, smap)
-    emissions = [("csv", "spectrum.csv", "omega,q,A", rows)]
+    columns = (*_grid_columns(cfg.omega_grid.values, cfg.q_grid.values), smap.ravel())
+    emissions = [("spectrum.csv", "omega,q,A", columns)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
 
@@ -99,8 +92,7 @@ def _run_hopfield(cfg: RunConfig, threads: int, log):
     lower, upper = hopfield_branches(
         qs, cfg.params["g"], cfg.cavity.mass_beta, cfg.params["delta_pi"]
     )
-    rows = list(zip(qs.tolist(), lower.tolist(), upper.tolist()))
-    emissions = [("csv", "hopfield.csv", "q,lower,upper", rows)]
+    emissions = [("hopfield.csv", "q,lower,upper", (qs, lower, upper))]
     meta = {"reference": "two-level branches, splitting 2g at the q=0 resonance"}
     return emissions, {"completed": True}, meta
 
@@ -111,20 +103,15 @@ def _run_kerr_scan(cfg: RunConfig, threads: int, log):
         n_k=cfg.n_k, n_max=cfg.params["n_max"],
     )
     nan = float("nan")
-    rows = []
-    for row in scan:
-        if row.result is None:
-            rows.append((row.r, nan, nan, nan, nan, nan, nan, False))
-        else:
-            res = row.result
-            rows.append(
-                (row.r, res.omega0, res.u.real, res.u.imag,
-                 res.uprime.real, res.uprime.imag, res.fit_residual, row.converged)
-            )
-    emissions = [
-        ("csv", "kerr.csv",
-         "r,omega0,ReU,ImU,ReUprime,ImUprime,residual,converged", rows)
-    ]
+    # an unconverged row prints nan in every fitted column
+    unfitted = KerrResult(nan, complex(nan, nan), complex(nan, nan), np.empty(0), nan)
+    fits = [row.result or unfitted for row in scan]
+    u = np.array([fit.u for fit in fits])
+    uprime = np.array([fit.uprime for fit in fits])
+    columns = ([row.r for row in scan], [fit.omega0 for fit in fits], u.real, u.imag,
+               uprime.real, uprime.imag, [fit.fit_residual for fit in fits],
+               [row.converged for row in scan])
+    emissions = [("kerr.csv", "r,omega0,ReU,ImU,ReUprime,ImUprime,residual,converged", columns)]
     convergence = {
         "completed": True,
         "all_rows_converged": all(row.converged for row in scan),
@@ -137,10 +124,8 @@ def _run_vertex(cfg: RunConfig, threads: int, log):
     omegas = cfg.omega_grid.values
     log(f"direct vertex on {omegas.size}^2 frequencies at n_k2d={cfg.n_k2d}")
     grid = gamma4_direct_grid(omegas, cfg.model, cfg.cavity, cfg.kernel, cfg.n_k2d)
-    rows = _grid_rows(
-        cfg.omega_grid, cfg.omega_grid, grid.real, grid.imag, np.full(grid.shape, "direct")
-    )
-    emissions = [("csv", "gamma4.csv", "omega1,omega2,ReG4,ImG4,method", rows)]
+    columns = (*_grid_columns(omegas, omegas), grid.real.ravel(), grid.imag.ravel(), "direct")
+    emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
     meta = {"normalization": "bare-bubble vertex, no coupling prefactor"}
     return emissions, {"completed": True}, meta
 
@@ -149,19 +134,18 @@ def _run_saddle(cfg: RunConfig, threads: int, log):
     edge = band_edge_params(cfg.model)
     omegas = cfg.omega_grid.values
     nan = float("nan")
+    values = np.full((omegas.size, omegas.size), complex(nan, nan))
     below = 0
-    rows = []
-    for w1 in omegas:
-        for w2 in omegas:
+    points = omegas.tolist()
+    for i, w1 in enumerate(points):
+        for j, w2 in enumerate(points):
             try:
-                value = gamma4_stationary(
-                    float(w1), float(w2), cfg.kernel, edge, cfg.cavity.eta
-                )
-                rows.append((float(w1), float(w2), value.real, value.imag, "stationary"))
+                values[i, j] = gamma4_stationary(w1, w2, cfg.kernel, edge, cfg.cavity.eta)
             except BelowThresholdError:
                 below += 1
-                rows.append((float(w1), float(w2), nan, nan, "stationary"))
-    emissions = [("csv", "gamma4.csv", "omega1,omega2,ReG4,ImG4,method", rows)]
+    columns = (*_grid_columns(omegas, omegas), values.real.ravel(), values.imag.ravel(),
+               "stationary")
+    emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
     convergence = {"completed": True, "all_above_threshold": below == 0}
     meta = {
         "normalization": "bare-bubble vertex, no coupling prefactor",
@@ -173,12 +157,9 @@ def _run_saddle(cfg: RunConfig, threads: int, log):
 _SCHMIDT_HEADER = "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,fit_r2"
 
 
-def _scan_rows(rows):
-    return [
-        (row.zeta, row.entropy_nats, row.entropy_bits, *row.leading,
-         row.ratio_fit, row.fit_r2)
-        for row in rows
-    ]
+def _scan_columns(rows):
+    """The _SCHMIDT_HEADER columns of EntropyScanRows, lambda0..3 from `leading`."""
+    return np.array([np.hstack(astuple(row)) for row in rows]).T
 
 
 def _run_biphoton(cfg: RunConfig, threads: int, log):
@@ -188,13 +169,13 @@ def _run_biphoton(cfg: RunConfig, threads: int, log):
         pump, cfg.kernel.zeta, band_edge_params(cfg.model), v0=cfg.kernel.v0
     )
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
+    # a matrix is written row by row, so its columns are the rows of its transpose
     emissions = [
-        ("matrix", "biphoton_in.csv", f"|psi_in|^2 on {describe}",
-         np.abs(pump.amplitude) ** 2),
-        ("matrix", "biphoton_out.csv",
-         f"|psi_out|^2 at zeta={format(cfg.kernel.zeta, '.17g')} on {describe}",
-         np.abs(out.amplitude) ** 2),
-        ("csv", "schmidt.csv", _SCHMIDT_HEADER, _scan_rows([row])),
+        ("biphoton_in.csv", f"# |psi_in|^2 on {describe}", (np.abs(pump.amplitude) ** 2).T),
+        ("biphoton_out.csv",
+         f"# |psi_out|^2 at zeta={format(cfg.kernel.zeta, '.17g')} on {describe}",
+         (np.abs(out.amplitude) ** 2).T),
+        ("schmidt.csv", _SCHMIDT_HEADER, _scan_columns([row])),
     ]
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
 
@@ -205,7 +186,7 @@ def _run_schmidt_scan(cfg: RunConfig, threads: int, log):
         cfg.params["zeta_values"], cfg.omega_grid, cfg.params["omega0"],
         cfg.params["sigma"], edge, v0=cfg.kernel.v0,
     )
-    emissions = [("csv", "schmidt_scan.csv", _SCHMIDT_HEADER, _scan_rows(scan))]
+    emissions = [("schmidt_scan.csv", _SCHMIDT_HEADER, _scan_columns(scan))]
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
 
 
@@ -216,8 +197,7 @@ def _run_dressed_bands(cfg: RunConfig, threads: int, log):
     )
     columns = (sweep.k, sweep.omega, sweep.sigma_cv.real, sweep.sigma_cv.imag,
                sweep.e_plus, sweep.e_minus)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    emissions = [("csv", "dressed_bands.csv", "k,omega,ReScv,ImScv,Eplus,Eminus", rows)]
+    emissions = [("dressed_bands.csv", "k,omega,ReScv,ImScv,Eplus,Eminus", columns)]
     meta = {"mu_factorization": "mu(k,q) = mu(k); photon momentum enters only "
                                 "through the cavity branch"}
     return emissions, {"completed": True}, meta
@@ -227,11 +207,10 @@ def _run_keldysh(cfg: RunConfig, threads: int, log):
     kmap = keldysh_map(
         cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.thermal, cfg.n_k
     )
-    rows = _grid_rows(
-        cfg.omega_grid, cfg.q_grid, kmap.g_keldysh.real, kmap.g_keldysh.imag,
-        kmap.spectral, kmap.occupation,
-    )
-    emissions = [("csv", "keldysh.csv", "omega,q,ReGK,ImGK,A,n", rows)]
+    columns = (*_grid_columns(cfg.omega_grid.values, cfg.q_grid.values),
+               kmap.g_keldysh.real.ravel(), kmap.g_keldysh.imag.ravel(),
+               kmap.spectral.ravel(), kmap.occupation.ravel())
+    emissions = [("keldysh.csv", "omega,q,ReGK,ImGK,A,n", columns)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
 
@@ -328,13 +307,9 @@ def main(argv=None) -> int:
 
     try:
         written = []
-        for emission in emissions:
-            kind, name = emission[0], emission[1]
+        for name, first_line, columns in emissions:
             path = os.path.join(args.out, name)
-            if kind == "csv":
-                write_csv(path, emission[2], emission[3])
-            else:
-                write_matrix_csv(path, emission[2], emission[3])
+            write_csv(path, first_line, columns)
             written.append(name)
             log(f"wrote {path}")
         emit_manifest(written, convergence, metadata)

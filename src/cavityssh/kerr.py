@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import BubbleTable, CavityParams, photon_self_energy
+from .cavity import BubbleTable, CavityParams
 from .errors import CriticalPointError, NoConvergenceError
 from .lattice import SshParams
 from .numerics import complex_newton, polyfit_quadratic
@@ -107,18 +107,6 @@ def kerr_from_fit(omega_n: np.ndarray) -> KerrResult:
     )
 
 
-def kerr_closed_form(
-    p: SshParams, c: CavityParams, n_k: int = KERR_DEFAULT_NK
-) -> complex:
-    """Weak-coupling Kerr coefficient U = Sigma^R(omega_c)
-    = g^2 (1/2pi) int dk |mu|^2/(omega_c - Delta + i eta).
-
-    This is d Sigma/d n at the bare resonance: negative real part when the
-    cavity is pinned at the band edge (every transition sits above omega_c).
-    """
-    return photon_self_energy(c.omega_c, p, c, n_k)
-
-
 def kerr_scan(
     r_values,
     p: SshParams,
@@ -153,7 +141,7 @@ def _scan_row(
     c_r = replace(c, omega_c=p_r.edge_gap)
     table = BubbleTable(p_r, c_r.eta, n_k)
     at_omega_c = table.integral(c_r.omega_c)
-    u_closed = c_r.g**2 * at_omega_c  # kerr_closed_form from this table
+    u_closed = c_r.g**2 * at_omega_c  # photon_self_energy(omega_c) from this table
     try:
         ladder = solve_omega_sequence(
             n_max, p_r, c_r, n_k, tol, max_iter, table=table, seed_integral=at_omega_c

@@ -186,16 +186,15 @@ def principal_value(
 def complex_newton(
     f: Callable[[complex], complex],
     z0: complex,
+    df: Callable[[complex], complex],
     tol: float = 1e-12,
     max_iter: int = 50,
-    df: Callable[[complex], complex] | None = None,
 ) -> complex:
     """Newton iteration in the complex plane; returns z with |f(z)| < tol.
 
     f is called once per iterate and its value serves both the residual and
-    the next step, so k steps cost k + 1 calls of f and k of df. Without an
-    analytic derivative a central difference with relative step 1e-7 is used.
-    Raises NoConvergenceError carrying the last iterate.
+    the next step, so k steps cost k + 1 calls of f and k of its derivative
+    df. Raises NoConvergenceError carrying the last iterate.
     """
     z = complex(z0)
     fz = f(z)
@@ -203,11 +202,7 @@ def complex_newton(
     for iteration in range(max_iter):
         if residual < tol:
             return z
-        if df is not None:
-            deriv = df(z)
-        else:
-            h = 1e-7 * max(1.0, abs(z))
-            deriv = (f(z + h) - f(z - h)) / (2.0 * h)
+        deriv = df(z)
         if deriv == 0 or not np.isfinite(abs(deriv)):
             raise NoConvergenceError(
                 f"derivative vanished at iteration {iteration}", z, residual, iteration

@@ -1,74 +1,47 @@
 """Deterministic dataset emission: CSV files and the per-run manifest.
 
 Every numeric cell is printed with repr-faithful 17 significant digits and a
-dot decimal separator, newlines are always "\n", and rows are written in a
-fixed order, so identical config + version means identical bytes.
+dot decimal separator, a constant text column verbatim, newlines are always
+"\n", and rows are written in a fixed order, so identical config + version
+means identical bytes.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 
 import numpy as np
 
-
-def format_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits, ints/strings verbatim."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-# "%.17g" % x equals format(x, ".17g") for every float, nan, inf and -0.0
-# included, but not for ints >= 1e17 or np.bool_, so only rows made of these
-# two types take the template
-_FLOAT_TYPES = frozenset((float, np.float64))
 _BLOCK_LINES = 4096
+_BLOCK_CELLS = 4096
 
 
-@functools.lru_cache(maxsize=16)
-def _float_template(width: int) -> str:
-    """"%.17g,...,%.17g" with `width` fields: format_cell's join for float cells."""
-    return ",".join(["%.17g"] * width)
+def write_csv(path: str, first_line: str, columns) -> None:
+    """Write `first_line`, then one line per row of the columns ("\n" endings).
 
+    Every numeric column, bools included, is read as float64 and each cell
+    prints as "%.17g", which is format(x, ".17g") for every float, nan, inf
+    and -0.0 included, and 1 and 0 for True and False. A `str` in place of a
+    column is a constant column, printed verbatim on every line.
 
-def _format_row(row) -> str:
-    if _FLOAT_TYPES.issuperset(map(type, row)):
-        return _float_template(len(row)) % tuple(row)
-    return ",".join(format_cell(cell) for cell in row)
-
-
-def write_csv(path: str, header: str, rows) -> None:
-    """Write `header` then one comma-joined line per row ("\n" endings)."""
-    lines = [header]
-    lines.extend(map(_format_row, rows))
-    _write_lines(path, lines)
-
-
-def write_matrix_csv(path: str, comment: str, matrix) -> None:
-    """Dump a dense matrix with a single self-describing comment line on top.
-
-    Every cell prints as format_cell(float(cell)). Rows are converted one at
-    a time, so no second copy of the whole matrix is held.
+    The columns are stacked and converted to Python floats a block of rows
+    (about _BLOCK_CELLS cells) at a time, so no second copy of the whole table
+    is held, as an array or as floats. Columns of unequal length raise
+    ValueError. Every line is formatted before the file is opened, so a
+    formatting error leaves no partial file; the lines are joined a block at a
+    time, so the whole text is never held as one more string.
     """
-    lines = [f"# {comment}"]
-    for row in matrix:
-        cells = tuple(np.asarray(row, dtype=float).tolist())
-        lines.append(_float_template(len(cells)) % cells)
-    _write_lines(path, lines)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    """Write each line plus "\n". The lines are formatted before the file is
-    opened, so a formatting error leaves no partial file; they are joined a
-    block at a time, so the whole text is never held as one more string."""
+    numeric = [np.asarray(column, dtype=float) for column in columns
+               if not isinstance(column, str)]
+    template = ",".join(column.replace("%", "%%") if isinstance(column, str) else "%.17g"
+                        for column in columns)
+    step = max(1, _BLOCK_CELLS // len(numeric))
+    lines = [first_line]
+    for start in range(0, max(map(len, numeric)), step):
+        block = np.stack([column[start:start + step] for column in numeric], axis=1)
+        lines.extend(template % tuple(row) for row in block.tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for start in range(0, len(lines), _BLOCK_LINES):
             handle.write("\n".join(lines[start:start + _BLOCK_LINES]))

@@ -95,8 +95,6 @@ def test_schmidt_weights_normalized_and_sorted():
     spectrum = schmidt_decompose(state)
     assert abs(np.sum(spectrum.coefficients) - 1.0) < 1e-10
     assert np.all(np.diff(spectrum.coefficients) <= 1e-15)
-    truncated = schmidt_decompose(state, n_max=5)
-    assert truncated.coefficients.shape == (5,)
 
 
 def test_schmidt_entropy_invariances():

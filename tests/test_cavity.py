@@ -27,6 +27,7 @@ from cavityssh import (
     spectral_map,
     zone_trapezoid,
 )
+from cavityssh import cavity
 from cavityssh.numerics import pairwise_sum
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
@@ -229,6 +230,34 @@ def test_self_energy_spectrum_thread_count_invariant():
     one = self_energy_spectrum(grid, TOPO, CAV, n_k=1024, threads=1)
     three = self_energy_spectrum(grid, TOPO, CAV, n_k=1024, threads=3)
     assert np.array_equal(one, three)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+def test_self_energy_spectrum_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
+    """threads=10_000 starts at most one worker per CPU (none when the count is
+    unknown) and gives the serial values; the pool is a serial stand-in, so no
+    thread starts."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cavity, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
+    grid = FrequencyGrid(0.5, 4.5, 64)
+    many = self_energy_spectrum(grid, TOPO, CAV, n_k=256, threads=10_000)
+    assert started == workers
+    assert np.array_equal(many, self_energy_spectrum(grid, TOPO, CAV, n_k=256, threads=1))
 
 
 def test_dressed_propagator_bare_resonance():

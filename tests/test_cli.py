@@ -43,7 +43,7 @@ from cavityssh import (
 from cavityssh import cli
 from cavityssh.cli import main
 from cavityssh.config import _SECTIONS, COMMANDS, RunConfig, parse_config
-from cavityssh.output import format_cell, write_csv
+from cavityssh.output import write_csv
 
 BANDS_DOC = {
     "model": {"t1": 1.0, "t2": 1.5},
@@ -242,18 +242,9 @@ def test_parse_config_builds_or_rejects_any_document(document, command):
 # ---------------------------------------------------------------------- output
 
 
-def test_format_cell_conventions():
-    assert format_cell(True) == "1"
-    assert format_cell(False) == "0"
-    assert format_cell(7) == "7"
-    assert format_cell(0.1) == "0.10000000000000001"
-    assert format_cell(float("nan")) == "nan"
-    assert format_cell("direct") == "direct"
-
-
 def test_write_csv_newline_discipline(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, "a,b", [[1.0, 2], [0.5, 3]])
+    write_csv(path, "a,b", ([1.0, 0.5], [2, 3]))
     raw = open(path, "rb").read()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")

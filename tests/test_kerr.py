@@ -15,7 +15,6 @@ from cavityssh import (
     DegenerateDesignError,
     KerrResult,
     SshParams,
-    kerr_closed_form,
     kerr_from_fit,
     kerr_scan,
     photon_self_energy,
@@ -83,17 +82,17 @@ def test_fit_negative_kerr_at_figure_coupling():
 
 def test_closed_form_limits_and_signs():
     off = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.0, eta=1e-3)
-    assert kerr_closed_form(TOPO, off, n_k=512) == 0j
+    assert photon_self_energy(off.omega_c, TOPO, off, n_k=512) == 0j
     # every transition lies above the cavity, in resonance or far below it,
     # so the first-power denominator keeps Re U negative in both regimes
     far_below = CavityParams(omega_c=0.25, mass_beta=0.5, g=0.01, eta=1e-4)
-    assert kerr_closed_form(TOPO, far_below, n_k=16384).real < 0.0
+    assert photon_self_energy(far_below.omega_c, TOPO, far_below, n_k=16384).real < 0.0
     for r in (0.5, 1.5):
         p = SshParams(1.0, r)
         resonant = CavityParams(
             omega_c=2.0 * abs(1.0 - r), mass_beta=0.5, g=0.01, eta=1e-3
         )
-        assert kerr_closed_form(p, resonant, n_k=16384).real < 0.0
+        assert photon_self_energy(resonant.omega_c, p, resonant, n_k=16384).real < 0.0
 
 
 def test_fit_matches_closed_form_at_small_coupling():
@@ -101,7 +100,7 @@ def test_fit_matches_closed_form_at_small_coupling():
         p = SshParams(1.0, r)
         c = CavityParams(omega_c=2.0 * abs(1.0 - r), mass_beta=0.5, g=0.01, eta=1e-3)
         fit = kerr_from_fit(solve_omega_sequence(5, p, c, n_k=16384))
-        closed = kerr_closed_form(p, c, n_k=16384)
+        closed = photon_self_energy(c.omega_c, p, c, n_k=16384)
         assert abs(fit.u / closed - 1.0) < 0.05
 
 
@@ -195,6 +194,6 @@ def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
     for row in rows:
         p_r = SshParams(1.0, row.r)
         c_r = replace(KERR_CAV, omega_c=2.0 * abs(1.0 - row.r))
-        assert row.u_closed == kerr_closed_form(p_r, c_r, n_k=4096)
+        assert row.u_closed == photon_self_energy(c_r.omega_c, p_r, c_r, n_k=4096)
         ladder = solve_omega_sequence(3, p_r, c_r, n_k=4096)
         assert row.result.omega_n.tobytes() == ladder.tobytes()

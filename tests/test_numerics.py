@@ -176,7 +176,7 @@ def test_principal_value_rejects_pole_on_boundary():
 
 
 def test_complex_newton_square_root():
-    root = complex_newton(lambda z: z * z - 1.0, 0.5 + 0.1j)
+    root = complex_newton(lambda z: z * z - 1.0, 0.5 + 0.1j, df=lambda z: 2.0 * z)
     assert abs(root - 1.0) < 1e-10
 
 
@@ -215,13 +215,13 @@ def test_complex_newton_evaluates_f_once_per_iterate(seed):
 
 
 def test_complex_newton_exact_seed_returns_immediately():
-    assert complex_newton(lambda z: z - 2.0, 2.0 + 0.0j) == 2.0 + 0.0j
+    assert complex_newton(lambda z: z - 2.0, 2.0 + 0.0j, df=lambda z: 1.0 + 0.0j) == 2.0 + 0.0j
 
 
 def test_complex_newton_reports_failure():
     # z^2 + 1 from a real seed never leaves the real axis
     with pytest.raises(NoConvergenceError) as info:
-        complex_newton(lambda z: z * z + 1.0, 0.5 + 0.0j, max_iter=12)
+        complex_newton(lambda z: z * z + 1.0, 0.5 + 0.0j, df=lambda z: 2.0 * z, max_iter=12)
     err = info.value
     assert err.iterations == 12
     assert err.residual > 1e-12

@@ -1,12 +1,13 @@
-"""The CSV writers print exactly the format_cell join, whatever the cell types."""
+"""The CSV writer prints every numeric cell as format(float(x), ".17g")."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavityssh.output import format_cell, write_csv, write_matrix_csv
+from cavityssh.output import write_csv
 
 EDGE_FLOATS = st.sampled_from([
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -14,21 +15,19 @@ EDGE_FLOATS = st.sampled_from([
 ])
 FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
 FLOAT_CELLS = st.one_of(FLOATS, FLOATS.map(np.float64))
-OTHER_CELLS = st.one_of(
-    st.booleans(),
-    st.sampled_from([10**20, -(10**17), 7, 0, np.True_, np.False_]),
-    st.integers(),
-    st.text(alphabet="abc _-.", max_size=6),
-)
-MIXED_CELLS = st.one_of(FLOAT_CELLS, OTHER_CELLS)
 FIXTURE_OK = settings(
     max_examples=150, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
-def reference_csv(first_line, rows, cell=format_cell):
-    lines = [first_line] + [",".join(cell(value) for value in row) for row in rows]
+def format_cell(value) -> str:
+    """The reference spelling of one cell: 17 significant digits of its float."""
+    return format(float(value), ".17g")
+
+
+def reference_csv(first_line, rows):
+    lines = [first_line] + [",".join(map(format_cell, row)) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -37,52 +36,63 @@ def written(path):
         return handle.read()
 
 
+def rows_of_width(cells, max_rows):
+    return st.integers(1, 7).flatmap(
+        lambda width: st.lists(st.lists(cells, min_size=width, max_size=width),
+                               max_size=max_rows)
+    )
+
+
 @FIXTURE_OK
-@given(rows=st.lists(st.lists(FLOAT_CELLS, max_size=7), max_size=12))
+@given(rows=rows_of_width(FLOAT_CELLS, 12))
 def test_write_csv_float_rows_match_format_cell(tmp_path, rows):
+    columns = list(zip(*rows)) if rows else [[]]  # no rows: one empty column
     path = tmp_path / "floats.csv"
-    write_csv(str(path), "h", rows)
+    write_csv(str(path), "h", columns)
     assert written(path) == reference_csv("h", rows)
-
-
-@FIXTURE_OK
-@given(rows=st.lists(st.lists(MIXED_CELLS, max_size=7), max_size=12))
-def test_write_csv_mixed_rows_match_format_cell(tmp_path, rows):
-    path = tmp_path / "mixed.csv"
-    write_csv(str(path), "a,b", [tuple(row) for row in rows])
-    assert written(path) == reference_csv("a,b", rows)
-
-
-def test_write_csv_keeps_int_and_bool_spellings(tmp_path):
-    # "%.17g" would print 10**20 as 1e+20 and np.bool_ as 1
-    path = tmp_path / "spell.csv"
-    rows = [(0.5, 10**20), (np.True_, 1.5), (True, np.float64(-0.0)), ("direct", math.nan)]
-    write_csv(str(path), "x,y", rows)
-    assert written(path) == b"x,y\n0.5,100000000000000000000\nTrue,1.5\n1,-0\ndirect,nan\n"
 
 
 def test_write_csv_spans_several_write_blocks(tmp_path):
     path = tmp_path / "long.csv"
     rows = [(i * 0.1, i) for i in range(10_000)]
-    write_csv(str(path), "x,i", rows)
+    write_csv(str(path), "x,i", list(zip(*rows)))
     assert written(path) == reference_csv("x,i", rows)
 
 
-@FIXTURE_OK
-@given(
-    matrix=st.integers(0, 6).flatmap(
-        lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width), max_size=8)
+def test_write_csv_bool_and_constant_string_columns(tmp_path):
+    """True and False print as 1 and 0; a str column repeats verbatim, % included."""
+    path = tmp_path / "spell.csv"
+    write_csv(str(path), "x,ok,method,y",
+              ([0.1, math.nan, -0.0], np.array([True, False, True]), "direct 100%",
+               [1.0, 10**20, np.float64(-math.inf)]))
+    assert written(path) == (
+        b"x,ok,method,y\n"
+        b"0.10000000000000001,1,direct 100%,1\n"
+        b"nan,0,direct 100%,1e+20\n"
+        b"-0,1,direct 100%,-inf\n"
     )
-)
-def test_write_matrix_csv_matches_format_cell(tmp_path, matrix):
+
+
+@FIXTURE_OK
+@given(matrix=rows_of_width(FLOATS, 8))
+def test_write_csv_matrix_transpose_matches_format_cell(tmp_path, matrix):
+    """A matrix passed as matrix.T prints one line per matrix row."""
     path = tmp_path / "matrix.csv"
-    array = np.array(matrix, dtype=float).reshape(len(matrix), -1 if matrix else 0)
-    write_matrix_csv(str(path), "m", array)
-    assert written(path) == reference_csv("# m", array, lambda v: format_cell(float(v)))
+    width = len(matrix[0]) if matrix else 1
+    array = np.array(matrix, dtype=float).reshape(len(matrix), width)
+    write_csv(str(path), "# m", array.T)
+    assert written(path) == reference_csv("# m", array)
 
 
-def test_write_matrix_csv_mixed_cells_print_as_floats(tmp_path):
+def test_write_csv_matrix_of_mixed_numbers_prints_floats(tmp_path):
     path = tmp_path / "mixed_matrix.csv"
     matrix = [[True, 10**20, np.True_], [np.float64(0.1), -0.0, 3], [math.inf, 5e-324, False]]
-    write_matrix_csv(str(path), "mixed", matrix)
-    assert written(path) == reference_csv("# mixed", matrix, lambda v: format_cell(float(v)))
+    write_csv(str(path), "# mixed", list(zip(*matrix)))
+    assert written(path) == reference_csv("# mixed", matrix)
+
+
+def test_write_csv_rejects_columns_of_unequal_length_before_opening(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(path), "a,b", ([0.0] * 16, [1.0] * 17))
+    assert not path.exists()
