@@ -16,6 +16,11 @@ import time
 import traceback
 from dataclasses import astuple
 
+# before numpy: OpenBLAS reads it at load; idle workers then sleep instead of spinning 2^28 cycles
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+_BLAS = {"openblas_thread_timeout": os.environ["OPENBLAS_THREAD_TIMEOUT"],
+         "set_before_numpy": "numpy" not in sys.modules}
+
 import numpy as np
 
 from . import __version__
@@ -283,7 +288,7 @@ def main(argv=None) -> int:
         write_manifest(
             args.out, args.command, __version__, cfg.raw, names,
             wall_clock=round(time.monotonic() - started, 6),
-            convergence=convergence, metadata=metadata, error=error,
+            convergence=convergence, metadata=metadata, blas=_BLAS, error=error,
         )
 
     try:

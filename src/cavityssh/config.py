@@ -24,11 +24,20 @@ class Command(NamedTuple):
     """One CLI command: its help line, the optional sections (cavity, kernel,
     thermal) and grids (omega, q) it reads, and its params schema
     key -> (kind, default, minimum). A None default means required; a
-    callable default is derived from the parsed (model, cavity)."""
+    callable default is derived from the parsed (model, cavity). `squares`
+    names the grid keys whose side sets a square complex array the command
+    allocates: the zone-squared kernel (n_k2d) or an omega x omega map
+    (omega.count)."""
 
     help: str
     reads: tuple[str, ...]
     params: dict[str, tuple[str, Any, int | None]]
+    squares: tuple[str, ...] = ()
+
+
+# the largest complex array a run may allocate; a bigger grid exits 2 at parse
+# time instead of failing in compute
+MAX_ARRAY_BYTES = 1 << 30
 
 
 # smallest accepted integer params: n_points one sample, n_max three rungs
@@ -46,15 +55,16 @@ COMMANDS = {
     "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
                          {"r_values": ("number_list", None, None), "n_max": ("int", 5, 2)}),
     "vertex": Command("direct four-photon vertex on a frequency square",
-                      ("cavity", "kernel", "omega"), {}),
+                      ("cavity", "kernel", "omega"), {}, ("n_k2d", "omega.count")),
     "saddle": Command("stationary-phase four-photon vertex on a frequency square",
-                      ("cavity", "kernel", "omega"), {}),
+                      ("cavity", "kernel", "omega"), {}, ("omega.count",)),
     "biphoton": Command("two-photon input/output states and their Schmidt spectrum",
                         ("kernel", "omega"),
-                        {"omega0": ("number", None, None), "sigma": ("number", None, None)}),
+                        {"omega0": ("number", None, None), "sigma": ("number", None, None)},
+                        ("omega.count",)),
     "schmidt-scan": Command("Schmidt entropy vs interaction range", ("kernel", "omega"),
                             {"omega0": ("number", None, None), "sigma": ("number", None, None),
-                             "zeta_values": ("number_list", None, None)}),
+                             "zeta_values": ("number_list", None, None)}, ("omega.count",)),
     "dressed-bands": Command("cavity-dressed electronic bands and interband self-energy",
                              ("cavity",), {"n_points": ("int", 256, 1),
                                            "onshell": ("bool", True, None),
@@ -235,6 +245,14 @@ def parse_config(document: dict, command: str) -> RunConfig:
     for key, grid in (("omega", omega_grid), ("q", q_grid)):
         if key in spec.reads and grid is None:
             raise ConfigInvalidError(f"command {command!r} requires grids.{key}")
+    for key in spec.squares:
+        side = n_k2d + 1 if key == "n_k2d" else omega_grid.count
+        nbytes = 16 * side * side
+        if nbytes > MAX_ARRAY_BYTES:
+            raise ConfigInvalidError(
+                f"grids.{key} needs a {side} x {side} complex array "
+                f"({nbytes / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
+            )
     if command == "keldysh" and omega_grid.start <= 0:
         raise ConfigInvalidError(
             "keldysh requires a strictly positive frequency grid (occupation "

@@ -65,13 +65,15 @@ def write_manifest(
     wall_clock: float,
     convergence: dict,
     metadata: dict,
+    blas: dict,
     error: dict | None = None,
 ) -> str:
     """Emit manifest.json next to the outputs; returns its path.
 
     Checksums are computed from the files as written, so a reader can verify
-    the dataset round-trips. `error` is the machine-readable failure record
-    for partial runs.
+    the dataset round-trips. `blas` records the BLAS idle policy the run
+    started with; `error` is the machine-readable failure record for partial
+    runs.
     """
     outputs = []
     for name in output_names:
@@ -91,6 +93,7 @@ def write_manifest(
         "wall_clock_seconds": wall_clock,
         "convergence": convergence,
         "metadata": metadata,
+        "blas": blas,
     }
     if error is not None:
         manifest["error"] = error

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from cavityssh import (
     sigma_matrix,
     zak_phase,
 )
-from cavityssh import cli
+from cavityssh import cli, config
 from cavityssh.cli import main
 from cavityssh.config import _SECTIONS, COMMANDS, RunConfig, parse_config
 from cavityssh.output import write_csv
@@ -272,6 +274,27 @@ def test_bands_run_produces_csv_and_manifest(tmp_path):
     digest = hashlib.sha256(open(out_dir / "bands.csv", "rb").read()).hexdigest()
     assert entry["sha256"] == digest
     assert entry["bytes"] == os.path.getsize(out_dir / "bands.csv")
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+def test_manifest_records_the_blas_idle_policy(tmp_path, numpy_first):
+    """A CLI child sets OPENBLAS_THREAD_TIMEOUT before numpy loads; a process
+    that imported numpy first (the in-process bench and test runs) reads
+    false, because OpenBLAS has already read its environment."""
+    config = write_doc(tmp_path, {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}})
+    argv = ["zak", "--config", config, "--out", str(tmp_path / "out")]
+    code = f"import sys\nfrom cavityssh.cli import main\nsys.exit(main({argv!r}))"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", ("import numpy\n" if numpy_first else "") + code],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert read_manifest(tmp_path / "out")["blas"] == {
+        "openblas_thread_timeout": "4", "set_before_numpy": not numpy_first,
+    }
 
 
 def test_bands_at_the_gap_closure_writes_its_csv(tmp_path):
@@ -623,14 +646,18 @@ def test_nonfinite_list_entry_exits_2(tmp_path, capsys):
     assert "params.r_values[1] must be a finite number" in capsys.readouterr().err
 
 
-def test_oversized_grid_exits_3_with_error_manifest(tmp_path):
-    # numpy refuses the 2000001^2 kernel (29 TiB) before allocating it
-    doc = {
-        "model": {"t1": 1.0, "t2": 0.5},
-        "kernel": {"v0": 1.0, "zeta": 1.0},
-        "grids": {"n_k2d": 2000000, "omega": {"start": 0.6, "stop": 1.4, "count": 4}},
-    }
-    code, out_dir = run_cli(tmp_path, doc, "vertex")
+OVERSIZED_VERTEX = {
+    "model": {"t1": 1.0, "t2": 0.5},
+    "kernel": {"v0": 1.0, "zeta": 1.0},
+    "grids": {"n_k2d": 2000000, "omega": {"start": 0.6, "stop": 1.4, "count": 4}},
+}
+
+
+def test_memory_error_in_compute_exits_3_with_error_manifest(tmp_path, monkeypatch):
+    # with the parse-time budget lifted, numpy refuses the 2000001^2 kernel
+    # (29 TiB) before allocating it
+    monkeypatch.setattr(config, "MAX_ARRAY_BYTES", 1 << 62)
+    code, out_dir = run_cli(tmp_path, OVERSIZED_VERTEX, "vertex")
     assert code == 3
     manifest = read_manifest(out_dir)
     assert manifest["error"]["type"] == "MemoryError"
@@ -671,6 +698,35 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("vertex", OVERSIZED_VERTEX,
+     "grids.n_k2d needs a 2000001 x 2000001 complex array (5.96e+04 GiB), over the 1 GiB limit"),
+    ("vertex", {"model": CHAIN, "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 8193}}},
+     "grids.omega.count needs a 8193 x 8193 complex array"),
+    ("saddle", {"model": CHAIN, "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**5}}},
+     "grids.omega.count needs a 100000 x 100000 complex array"),
+    ("biphoton", {"model": CHAIN, "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**4}},
+                  "params": {"omega0": 1.0, "sigma": 0.1}},
+     "grids.omega.count needs a 10000 x 10000 complex array"),
+    ("schmidt-scan", {"model": CHAIN,
+                      "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**4}},
+                      "params": {"omega0": 1.0, "sigma": 0.1, "zeta_values": [0.0]}},
+     "grids.omega.count needs a 10000 x 10000 complex array"),
+])
+def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
+    code, out_dir = run_cli(tmp_path, doc, command)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_the_memory_budget_admits_a_side_of_8192():
+    # 8192^2 complex cells are exactly 1 GiB; nothing is allocated at parse time
+    omega = {"start": 0.6, "stop": 1.4, "count": 8192}
+    cfg = parse_config({"model": CHAIN, "grids": {"n_k2d": 8191, "omega": omega}}, "vertex")
+    assert (cfg.n_k2d, cfg.omega_grid.count) == (8191, 8192)
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

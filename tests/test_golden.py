@@ -5,6 +5,7 @@ bench/expected_sha256.json; both are read, never written. Each run goes
 through cli.main at --threads 2, as the benchmark runs it.
 """
 
+import glob
 import hashlib
 import importlib.util
 import json
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 from cavityssh.cli import main
+from cavityssh.config import parse_config
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -57,3 +59,16 @@ def test_seed0_outputs_match_the_pinned_hashes(tmp_path, command, config, files)
     assert main([command, "--config", str(path), "--out", str(out_dir), "--threads", "2"]) == 0
     for file, digest in files.items():
         assert hashlib.sha256((out_dir / file).read_bytes()).hexdigest() == digest, file
+
+
+def test_every_seed0_and_preset_config_fits_the_memory_budget():
+    workloads = _load_workloads()
+    for workload in workloads.WORKLOADS.values():
+        for run in workloads.generate(workload, 0):
+            parse_config(run.config, run.command)
+    presets = sorted(glob.glob(os.path.join(BENCH, "..", "configs", "*.json")))
+    assert presets
+    for path in presets:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        parse_config(document, document["command"])

@@ -170,6 +170,17 @@ def test_principal_value_pole_outside_is_plain_quadrature():
     assert got == ref
 
 
+@pytest.mark.parametrize("a, b, pole", [(-1.0, 2.0, 0.3), (-1.0, 2.0, -0.8), (0.0, 1.0, 0.9)])
+def test_principal_value_matches_quadpack_cauchy_weight(a, b, pole):
+    # QUADPACK's QAWC is an independent principal-value rule (Clenshaw-Curtis
+    # moments of the Cauchy weight); the pole sits inside and off-centre
+    quad = pytest.importorskip("scipy.integrate").quad
+    f = lambda x: np.exp(x) * np.cos(3.0 * x)
+    ref, err = quad(f, a, b, weight="cauchy", wvar=pole, epsabs=1e-14, epsrel=1e-13)
+    assert err < 1e-9
+    assert principal_value(f, a, b, pole) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
 def test_principal_value_rejects_pole_on_boundary():
     with pytest.raises(PoleOnBoundaryError):
         principal_value(lambda x: np.ones_like(x), 0.0, 1.0, pole=1.0)
