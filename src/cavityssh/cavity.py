@@ -66,33 +66,46 @@ class BubbleTable:
         """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` and return it.
 
         The in-place ufuncs round exactly as the expression
-        w / (omega - Delta + 1j eta)**power; power 2 goes through np.square,
-        because np.power(x, 2) differs from x**2 in the last bit.
+        w / (omega - Delta + 1j eta)**power: the real part of the denominator
+        is a float subtraction and its imaginary part Im(omega) + eta, as in
+        the complex expression, but Delta is never cast to complex. Power 2
+        goes through np.square, because np.power(x, 2) differs from x**2 in
+        the last bit. The samples are not checked for nan/inf here.
         """
-        np.subtract(omega, self.delta, out=out)
-        np.add(out, 1j * self.eta, out=out)
+        omega = complex(omega)
+        np.subtract(omega.real, self.delta, out=out.real)
+        out.imag = omega.imag + self.eta
         if power == 2:
             np.square(out, out=out)
         elif power != 1:
             np.power(out, power, out=out)
         np.divide(self.weighted_mu2, out, out=out)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteSampleError("bubble integrand produced nan/inf")
         return out
 
     def samples(self, omega: complex, power: int = 1) -> np.ndarray:
         """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power."""
-        return self._weighted(omega, power, np.empty(self.delta.size, dtype=complex))
+        samples = self._weighted(omega, power, np.empty(self.delta.size, dtype=complex))
+        if not np.all(np.isfinite(samples)):
+            raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        return samples
 
     def integral(self, omega: complex, power: int = 1) -> complex:
-        """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power."""
+        """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power.
+
+        A nan or inf sample always makes the pairwise total non-finite, so the
+        samples are scanned only when the total is; NonFiniteSampleError is
+        raised exactly when a sample is non-finite, as in `samples`.
+        """
         local = self._scratch
         if not hasattr(local, "samples"):
             size = self.delta.size
             local.samples = np.empty(size, dtype=complex)
             local.pair = np.empty((2, (size + 1) // 2), dtype=complex)
         samples = self._weighted(omega, power, local.samples)
-        return complex(pairwise_sum(samples, scratch=local.pair) / (2.0 * np.pi))
+        total = pairwise_sum(samples, scratch=local.pair)
+        if not np.isfinite(total) and not np.all(np.isfinite(samples)):
+            raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        return complex(total / (2.0 * np.pi))
 
 
 def photon_self_energy(

@@ -24,53 +24,62 @@ class Command(NamedTuple):
     """One CLI command: its help line, the optional sections (cavity, kernel,
     thermal) and grids (omega, q) it reads, and its params schema
     key -> (kind, default, minimum). A None default means required; a
-    callable default is derived from the parsed (model, cavity). `squares`
-    names the grid keys whose side sets a square complex array the command
-    allocates: the zone-squared kernel (n_k2d) or an omega x omega map
-    (omega.count)."""
+    callable default is derived from the parsed (model, cavity). `arrays`
+    lists the complex arrays the command allocates, each as the size keys of
+    its axes: a zone of n_k + 1 cells (grids.n_k), the zone-squared kernel
+    (grids.n_k2d twice), an omega x omega or omega x q map, a k sweep
+    (params.n_points)."""
 
     help: str
     reads: tuple[str, ...]
     params: dict[str, tuple[str, Any, int | None]]
-    squares: tuple[str, ...] = ()
+    arrays: tuple[tuple[str, ...], ...] = ()
 
 
 # the largest complex array a run may allocate; a bigger grid exits 2 at parse
 # time instead of failing in compute
 MAX_ARRAY_BYTES = 1 << 30
 
+_ZONE = ("grids.n_k",)
+_OMEGA_SQUARE = ("grids.omega.count", "grids.omega.count")
+_OMEGA_Q = ("grids.omega.count", "grids.q.count")
+_SWEEP = ("params.n_points",)
+
 
 # smallest accepted integer params: n_points one sample, n_max three rungs
 # for the quadratic fit
 COMMANDS = {
     "bands": Command("band energies, gap, dipole, and Bloch phase across the zone", (),
-                     {"n_points": ("int", 256, 1)}),
-    "zak": Command("Wilson-loop geometric phase of the occupied band", (), {}),
+                     {"n_points": ("int", 256, 1)}, (_SWEEP,)),
+    "zak": Command("Wilson-loop geometric phase of the occupied band", (), {}, (_ZONE,)),
     "self-energy": Command("retarded photon self-energy on a frequency grid",
-                           ("cavity", "omega"), {}),
-    "spectrum": Command("dressed cavity spectral map A(omega, q)", ("cavity", "omega", "q"), {}),
+                           ("cavity", "omega"), {}, (_ZONE,)),
+    "spectrum": Command("dressed cavity spectral map A(omega, q)", ("cavity", "omega", "q"), {},
+                        (_ZONE, _OMEGA_Q)),
     "hopfield": Command("two-level reference polariton branches", ("cavity", "q"),
                         {"g": ("number", lambda model, cavity: cavity.g, None),
                          "delta_pi": ("number", lambda model, cavity: model.edge_gap, None)}),
     "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
-                         {"r_values": ("number_list", None, None), "n_max": ("int", 5, 2)}),
+                         {"r_values": ("number_list", None, None), "n_max": ("int", 5, 2)},
+                         (_ZONE,)),
     "vertex": Command("direct four-photon vertex on a frequency square",
-                      ("cavity", "kernel", "omega"), {}, ("n_k2d", "omega.count")),
+                      ("cavity", "kernel", "omega"), {},
+                      (("grids.n_k2d", "grids.n_k2d"), _OMEGA_SQUARE)),
     "saddle": Command("stationary-phase four-photon vertex on a frequency square",
-                      ("cavity", "kernel", "omega"), {}, ("omega.count",)),
+                      ("cavity", "kernel", "omega"), {}, (_OMEGA_SQUARE,)),
     "biphoton": Command("two-photon input/output states and their Schmidt spectrum",
                         ("kernel", "omega"),
                         {"omega0": ("number", None, None), "sigma": ("number", None, None)},
-                        ("omega.count",)),
+                        (_OMEGA_SQUARE,)),
     "schmidt-scan": Command("Schmidt entropy vs interaction range", ("kernel", "omega"),
                             {"omega0": ("number", None, None), "sigma": ("number", None, None),
-                             "zeta_values": ("number_list", None, None)}, ("omega.count",)),
+                             "zeta_values": ("number_list", None, None)}, (_OMEGA_SQUARE,)),
     "dressed-bands": Command("cavity-dressed electronic bands and interband self-energy",
                              ("cavity",), {"n_points": ("int", 256, 1),
                                            "onshell": ("bool", True, None),
-                                           "omega": ("number", 0.0, None)}),
+                                           "omega": ("number", 0.0, None)}, (_SWEEP,)),
     "keldysh": Command("thermal Green functions and mode occupation",
-                       ("cavity", "thermal", "omega", "q"), {}),
+                       ("cavity", "thermal", "omega", "q"), {}, (_ZONE, _OMEGA_Q)),
 }
 
 # the optional physics sections: record type and key -> default, a callable
@@ -245,14 +254,6 @@ def parse_config(document: dict, command: str) -> RunConfig:
     for key, grid in (("omega", omega_grid), ("q", q_grid)):
         if key in spec.reads and grid is None:
             raise ConfigInvalidError(f"command {command!r} requires grids.{key}")
-    for key in spec.squares:
-        side = n_k2d + 1 if key == "n_k2d" else omega_grid.count
-        nbytes = 16 * side * side
-        if nbytes > MAX_ARRAY_BYTES:
-            raise ConfigInvalidError(
-                f"grids.{key} needs a {side} x {side} complex array "
-                f"({nbytes / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
-            )
     if command == "keldysh" and omega_grid.start <= 0:
         raise ConfigInvalidError(
             "keldysh requires a strictly positive frequency grid (occupation "
@@ -261,6 +262,20 @@ def parse_config(document: dict, command: str) -> RunConfig:
 
     params = _parse_params(_require_mapping(root.get("params", {}), "params"),
                            spec.params, model, sections["cavity"])
+
+    sides = {"grids.n_k": n_k + 1, "grids.n_k2d": n_k2d + 1,
+             "grids.omega.count": omega_grid.count if omega_grid else None,
+             "grids.q.count": q_grid.count if q_grid else None,
+             "params.n_points": params.get("n_points")}
+    for axes in spec.arrays:
+        shape = [sides[key] for key in axes]
+        nbytes = 16 * math.prod(shape)
+        if nbytes > MAX_ARRAY_BYTES:
+            cells = " x ".join(map(str, shape)) + ("-cell" if len(shape) == 1 else "")
+            raise ConfigInvalidError(
+                f"{' x '.join(dict.fromkeys(axes))} needs a {cells} complex array "
+                f"({nbytes / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
+            )
 
     return RunConfig(
         command=command,

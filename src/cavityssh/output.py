@@ -3,7 +3,9 @@
 Every numeric cell is printed with repr-faithful 17 significant digits and a
 dot decimal separator, a constant text column verbatim, newlines are always
 "\n", and rows are written in a fixed order, so identical config + version
-means identical bytes.
+means identical bytes. A CSV is streamed: every check runs before the file is
+opened, then one block of rows at a time is formatted and written, so the
+writer's memory does not grow with the table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import os
 
 import numpy as np
 
-_BLOCK_LINES = 4096
 _BLOCK_CELLS = 4096
 
 
@@ -24,28 +25,33 @@ def write_csv(path: str, first_line: str, columns) -> None:
     Every numeric column, bools included, is read as float64 and each cell
     prints as "%.17g", which is format(x, ".17g") for every float, nan, inf
     and -0.0 included, and 1 and 0 for True and False. A `str` in place of a
-    column is a constant column, printed verbatim on every line.
+    column is a constant column, printed verbatim on every line. A matrix
+    passed as `matrix.T` prints one line per matrix row.
 
-    The columns are stacked and converted to Python floats a block of rows
-    (about _BLOCK_CELLS cells) at a time, so no second copy of the whole table
-    is held, as an array or as floats. Columns of unequal length raise
-    ValueError. Every line is formatted before the file is opened, so a
-    formatting error leaves no partial file; the lines are joined a block at a
-    time, so the whole text is never held as one more string.
+    Every check runs before the file is opened: each numeric column is read
+    as float64 (a copy only if it is not float64 already) and must be
+    one-dimensional, and all must be of equal length, else ValueError, so a
+    bad table leaves no file. Then the rows are streamed a block (about
+    _BLOCK_CELLS cells) at a time: the block is stacked, formatted by one row
+    template repeated once per row, and written. Only one block is held, as
+    an array, as floats and as text, so the writer's own memory does not grow
+    with the row count. Only an OSError while writing can leave a partial
+    file.
     """
     numeric = [np.asarray(column, dtype=float) for column in columns
                if not isinstance(column, str)]
+    shapes = [column.shape for column in numeric]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"numeric columns must be 1-D and of equal length, got shapes {shapes}")
+    (rows,) = shapes[0]
     template = ",".join(column.replace("%", "%%") if isinstance(column, str) else "%.17g"
-                        for column in columns)
+                        for column in columns) + "\n"
     step = max(1, _BLOCK_CELLS // len(numeric))
-    lines = [first_line]
-    for start in range(0, max(map(len, numeric)), step):
-        block = np.stack([column[start:start + step] for column in numeric], axis=1)
-        lines.extend(template % tuple(row) for row in block.tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        for start in range(0, len(lines), _BLOCK_LINES):
-            handle.write("\n".join(lines[start:start + _BLOCK_LINES]))
-            handle.write("\n")
+        handle.write(first_line + "\n")
+        for start in range(0, rows, step):
+            block = np.stack([column[start:start + step] for column in numeric], axis=1)
+            handle.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def sha256_of(path: str) -> str:

@@ -28,6 +28,7 @@ from cavityssh import (
     zone_trapezoid,
 )
 from cavityssh import cavity
+from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import pairwise_sum
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
@@ -105,23 +106,35 @@ def bits(value) -> bytes:
     return np.asarray(value, dtype=complex).tobytes()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     n_k=st.sampled_from([64, 65, 4096, 65536]),
     power=st.sampled_from([1, 2, 3]),
-    kind=st.sampled_from([float, np.float64, complex]),
+    kind=st.sampled_from([float, np.float64, complex, "off-axis"]),
     omega=st.floats(-2.0, 9.0),
+    im=st.floats(-0.5 * SHARP.eta, 0.5).filter(bool),
 )
-def test_bubble_integral_is_the_pairwise_sum_of_its_samples(n_k, power, kind, omega):
+def test_bubble_integral_is_the_pairwise_sum_of_its_samples(n_k, power, kind, omega, im):
     """integral() sums the samples() formula in its per-thread scratch without
-    changing a bit, and samples() rounds as the plain expression."""
+    changing a bit, and samples() rounds as the plain expression. An off-axis
+    omega has Im omega != 0 and Im omega + eta > 0, as the Kerr Newton
+    iterates have."""
     table = zone_table(n_k)
-    omega = kind(omega)
+    omega = complex(omega, im) if kind == "off-axis" else kind(omega)
     samples = table.samples(omega, power)
     expression = table.weighted_mu2 / (omega - table.delta + 1j * table.eta) ** power
     assert samples.tobytes() == expression.tobytes()
     expected = complex(pairwise_sum(samples) / (2.0 * np.pi))
     assert bits(table.integral(omega, power)) == bits(expected)
+
+
+@pytest.mark.parametrize("omega", [np.nan, complex(2.0, np.nan)])
+def test_bubble_nan_omega_raises_in_integral_and_samples(omega):
+    table = BubbleTable(TOPO, CAV.eta, n_k=256)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteSampleError):
+        table.integral(omega)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteSampleError):
+        table.samples(omega)
 
 
 def test_bubble_samples_are_fresh_arrays():

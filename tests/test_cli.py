@@ -714,6 +714,24 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
                       "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**4}},
                       "params": {"omega0": 1.0, "sigma": 0.1, "zeta_values": [0.0]}},
      "grids.omega.count needs a 10000 x 10000 complex array"),
+    ("self-energy", {"model": CHAIN, "grids": {"n_k": 10**8, "omega": OMEGA4}},
+     "grids.n_k needs a 100000001-cell complex array (1.49 GiB), over the 1 GiB limit"),
+    ("zak", {"model": CHAIN, "grids": {"n_k": 10**8}},
+     "grids.n_k needs a 100000001-cell complex array"),
+    ("kerr-scan", {"model": CHAIN, "grids": {"n_k": 10**8}, "params": {"r_values": [0.5]}},
+     "grids.n_k needs a 100000001-cell complex array"),
+    ("spectrum", {**SPECTRUM_DOC, "grids": {**SPECTRUM_DOC["grids"], "q": {
+        "start": -1.0, "stop": 1.0, "count": 10**5}, "omega": {
+        "start": 0.7, "stop": 1.3, "count": 10**4}}},
+     "grids.omega.count x grids.q.count needs a 10000 x 100000 complex array"),
+    ("keldysh", {**KELDYSH_DOC, "grids": {**KELDYSH_DOC["grids"], "q": {
+        "start": -1.0, "stop": 2.0, "count": 10**5}, "omega": {
+        "start": 0.6, "stop": 1.5, "count": 10**4}}},
+     "grids.omega.count x grids.q.count needs a 10000 x 100000 complex array"),
+    ("bands", {**BANDS_DOC, "params": {"n_points": 10**8}},
+     "params.n_points needs a 100000000-cell complex array"),
+    ("dressed-bands", {**BANDS_DOC, "params": {"n_points": 10**8}},
+     "params.n_points needs a 100000000-cell complex array"),
 ])
 def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)
@@ -727,6 +745,19 @@ def test_the_memory_budget_admits_a_side_of_8192():
     omega = {"start": 0.6, "stop": 1.4, "count": 8192}
     cfg = parse_config({"model": CHAIN, "grids": {"n_k2d": 8191, "omega": omega}}, "vertex")
     assert (cfg.n_k2d, cfg.omega_grid.count) == (8191, 8192)
+
+
+def test_the_memory_budget_admits_a_zone_a_map_and_a_sweep_of_1_gib():
+    # 2^26 complex cells are exactly 1 GiB; nothing is allocated at parse time
+    cfg = parse_config({"model": CHAIN, "grids": {"n_k": 2**26 - 1, "omega": OMEGA4}},
+                       "self-energy")
+    assert cfg.n_k == 2**26 - 1
+    grids = {"n_k": 2**26 - 1, "omega": {"start": 0.7, "stop": 1.3, "count": 2**13},
+             "q": {"start": -1.0, "stop": 1.0, "count": 2**13}}
+    cfg = parse_config({**SPECTRUM_DOC, "grids": grids}, "spectrum")
+    assert (cfg.omega_grid.count, cfg.q_grid.count) == (2**13, 2**13)
+    cfg = parse_config({**BANDS_DOC, "params": {"n_points": 2**26}}, "dressed-bands")
+    assert cfg.params["n_points"] == 2**26
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

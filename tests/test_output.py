@@ -1,12 +1,14 @@
 """The CSV writer prints every numeric cell as format(float(x), ".17g")."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cavityssh import output
 from cavityssh.output import write_csv
 
 EDGE_FLOATS = st.sampled_from([
@@ -96,3 +98,44 @@ def test_write_csv_rejects_columns_of_unequal_length_before_opening(tmp_path):
     with pytest.raises(ValueError):
         write_csv(str(path), "a,b", ([0.0] * 16, [1.0] * 17))
     assert not path.exists()
+
+
+def test_write_csv_rejects_a_column_that_is_not_one_dimensional_before_opening(tmp_path):
+    path = tmp_path / "flat.csv"
+    for columns in ((np.zeros((2, 3)),), ([0.0, 1.0], 2.0), ("only text",)):
+        with pytest.raises(ValueError):
+            write_csv(str(path), "a,b", columns)
+        assert not path.exists()
+
+
+def test_write_csv_constant_column_with_percent_spans_blocks(tmp_path):
+    path = tmp_path / "percent.csv"
+    step = output._BLOCK_CELLS // 2  # rows per block with two numeric columns
+    x = np.arange(2 * step + 3) * 0.1
+    write_csv(str(path), "x,tag,y", (x, "100% %d %%s", -x))
+    expected = "x,tag,y\n" + "".join(
+        f"{format_cell(v)},100% %d %%s,{format_cell(-v)}\n" for v in x
+    )
+    assert written(path) == expected.encode()
+
+
+def test_write_csv_memory_does_not_grow_with_the_row_count(tmp_path):
+    """numpy reports its buffers to tracemalloc; the float64 columns are the
+    caller's, so the writer holds one block at most. Every line has one
+    width, so every full block is the same text."""
+    peaks = []
+    for rows in (50_000, 400_000):
+        columns = (np.full(rows, 0.1), np.full(rows, -math.pi), np.full(rows, 1e300),
+                   "const %")
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            write_csv(str(tmp_path / "tall.csv"), "a,b,c,d", columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) < 1 << 20
+    assert abs(peaks[1] - peaks[0]) < 4096
