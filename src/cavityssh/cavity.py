@@ -7,9 +7,7 @@ setting g = 1 recovers the bare-bubble normalization of the dressed spectra.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +118,13 @@ def photon_self_energy(
 
 
 def self_energy_spectrum(
-    grid: FrequencyGrid,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int = DEFAULT_NK,
-    threads: int = 1,
+    grid: FrequencyGrid, p: SshParams, c: CavityParams, n_k: int = DEFAULT_NK
 ) -> np.ndarray:
-    """Sigma^R at each frequency of the grid (threads chunk the sweep, speed only)."""
+    """Sigma^R at each frequency of the grid, from one zone table; each value
+    is the photon_self_energy of its frequency, bit for bit."""
     table = BubbleTable(p, c.eta, n_k)
-    omegas = grid.values
-    out = np.empty(grid.count, dtype=complex)
-
-    def fill(indices):
-        for i in indices:
-            out[i] = c.g**2 * table.integral(omegas[i])
-
-    _chunked(fill, grid.count, threads)
-    return out
+    sweep = (c.g**2 * table.integral(omega) for omega in grid.values)
+    return np.fromiter(sweep, dtype=complex, count=grid.count)
 
 
 def dressed_propagator(
@@ -174,11 +162,10 @@ def spectral_map(
     p: SshParams,
     c: CavityParams,
     n_k: int = DEFAULT_NK,
-    threads: int = 1,
 ) -> np.ndarray:
     """A(omega, q) on the product grid, shape (len(omega), len(q)); the bubble
-    is reused across q, and `threads` chunk only the bubble sweep."""
-    sigma = self_energy_spectrum(omega_grid, p, c, n_k, threads=threads)
+    is computed once per omega and reused across q."""
+    sigma = self_energy_spectrum(omega_grid, p, c, n_k)
     w, q = omega_grid.values, q_grid.values
     return -np.imag(
         1.0 / (w[:, None] - c.omega_c - c.mass_beta * q * q - sigma[:, None] + 1j * c.eta)
@@ -193,15 +180,3 @@ def hopfield_branches(q, g: float, beta: float, delta_pi: float):
     radius = np.sqrt(0.25 * (photon - delta_pi) ** 2 + g * g)
     return mean - radius, mean + radius
 
-
-def _chunked(fill, total: int, threads: int) -> None:
-    """Run fill(range) over [0, total) split across threads, at most one per
-    CPU; output indexed, so the result is identical for any thread count."""
-    threads = max(1, min(int(threads), os.cpu_count() or 1))
-    if threads == 1 or total < 2 * threads:
-        fill(range(total))
-        return
-    step = (total + threads - 1) // threads
-    chunks = [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, chunks))

@@ -53,7 +53,7 @@ def _grid_columns(outer, inner):
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _run_bands(cfg: RunConfig, threads: int, log):
+def _run_bands(cfg: RunConfig, log):
     ks = np.linspace(-np.pi, np.pi, cfg.params["n_points"])
     gaps = band_gap(ks, cfg.model)
     e_v, e_c = band_energies(ks, cfg.model)
@@ -67,32 +67,28 @@ def _run_bands(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, {"gapless_points": int(np.count_nonzero(~gapped))}
 
 
-def _run_zak(cfg: RunConfig, threads: int, log):
+def _run_zak(cfg: RunConfig, log):
     phase = zak_phase(cfg.model, n_k=cfg.n_k)
     columns = ([cfg.model.t1], [cfg.model.t2], [phase])
     return [("zak.csv", "t1,t2,zak", columns)], {"completed": True}, {}
 
 
-def _run_self_energy(cfg: RunConfig, threads: int, log):
-    sigma = self_energy_spectrum(
-        cfg.omega_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
-    )
+def _run_self_energy(cfg: RunConfig, log):
+    sigma = self_energy_spectrum(cfg.omega_grid, cfg.model, cfg.cavity, cfg.n_k)
     columns = (cfg.omega_grid.values, sigma.real, sigma.imag)
     emissions = [("self_energy.csv", "omega,ReSigma,ImSigma", columns)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
 
-def _run_spectrum(cfg: RunConfig, threads: int, log):
+def _run_spectrum(cfg: RunConfig, log):
     log(f"spectral map {cfg.omega_grid.count} x {cfg.q_grid.count} at n_k={cfg.n_k}")
-    smap = spectral_map(
-        cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k, threads=threads
-    )
+    smap = spectral_map(cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k)
     columns = (*_grid_columns(cfg.omega_grid.values, cfg.q_grid.values), smap.ravel())
     emissions = [("spectrum.csv", "omega,q,A", columns)]
     return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
 
 
-def _run_hopfield(cfg: RunConfig, threads: int, log):
+def _run_hopfield(cfg: RunConfig, log):
     qs = cfg.q_grid.values
     lower, upper = hopfield_branches(
         qs, cfg.params["g"], cfg.cavity.mass_beta, cfg.params["delta_pi"]
@@ -102,7 +98,7 @@ def _run_hopfield(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, meta
 
 
-def _run_kerr_scan(cfg: RunConfig, threads: int, log):
+def _run_kerr_scan(cfg: RunConfig, log):
     scan = kerr_scan(
         cfg.params["r_values"], cfg.model, cfg.cavity,
         n_k=cfg.n_k, n_max=cfg.params["n_max"],
@@ -125,7 +121,7 @@ def _run_kerr_scan(cfg: RunConfig, threads: int, log):
     return emissions, convergence, meta
 
 
-def _run_vertex(cfg: RunConfig, threads: int, log):
+def _run_vertex(cfg: RunConfig, log):
     omegas = cfg.omega_grid.values
     log(f"direct vertex on {omegas.size}^2 frequencies at n_k2d={cfg.n_k2d}")
     grid = gamma4_direct_grid(omegas, cfg.model, cfg.cavity, cfg.kernel, cfg.n_k2d)
@@ -135,7 +131,7 @@ def _run_vertex(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, meta
 
 
-def _run_saddle(cfg: RunConfig, threads: int, log):
+def _run_saddle(cfg: RunConfig, log):
     edge = band_edge_params(cfg.model)
     omegas = cfg.omega_grid.values
     nan = float("nan")
@@ -167,7 +163,7 @@ def _scan_columns(rows):
     return np.array([np.hstack(astuple(row)) for row in rows]).T
 
 
-def _run_biphoton(cfg: RunConfig, threads: int, log):
+def _run_biphoton(cfg: RunConfig, log):
     grid = cfg.omega_grid
     pump = input_state(grid, cfg.params["omega0"], cfg.params["sigma"])
     out, row = scattered_pair(
@@ -185,7 +181,7 @@ def _run_biphoton(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
 
 
-def _run_schmidt_scan(cfg: RunConfig, threads: int, log):
+def _run_schmidt_scan(cfg: RunConfig, log):
     edge = band_edge_params(cfg.model)
     scan = entropy_scan(
         cfg.params["zeta_values"], cfg.omega_grid, cfg.params["omega0"],
@@ -195,7 +191,7 @@ def _run_schmidt_scan(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
 
 
-def _run_dressed_bands(cfg: RunConfig, threads: int, log):
+def _run_dressed_bands(cfg: RunConfig, log):
     sweep = dressed_band_sweep(
         np.linspace(-np.pi, np.pi, cfg.params["n_points"]), cfg.model, cfg.cavity,
         onshell=cfg.params["onshell"], omega=cfg.params["omega"],
@@ -208,7 +204,7 @@ def _run_dressed_bands(cfg: RunConfig, threads: int, log):
     return emissions, {"completed": True}, meta
 
 
-def _run_keldysh(cfg: RunConfig, threads: int, log):
+def _run_keldysh(cfg: RunConfig, log):
     kmap = keldysh_map(
         cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.thermal, cfg.n_k
     )
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument(
         "--threads", type=_thread_count, default=1,
-        help="worker threads for grid sweeps; never changes results",
+        help="accepted for compatibility (at least 1); every run is serial, so it changes nothing",
     )
     common.add_argument("--verbose", action="store_true", help="progress on stderr")
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -292,7 +288,7 @@ def main(argv=None) -> int:
         )
 
     try:
-        emissions, convergence, metadata = _HANDLERS[args.command](cfg, args.threads, log)
+        emissions, convergence, metadata = _HANDLERS[args.command](cfg, log)
     except Exception as exc:
         # library errors are expected; anything else (MemoryError from an
         # oversized grid, say) still ends as exit 3 with a manifest

@@ -24,15 +24,16 @@ class Command(NamedTuple):
     """One CLI command: its help line, the optional sections (cavity, kernel,
     thermal) and grids (omega, q) it reads, and its params schema
     key -> (kind, default, minimum). A None default means required; a
-    callable default is derived from the parsed (model, cavity). `arrays`
-    lists the complex arrays the command allocates, each as the size keys of
-    its axes: a zone of n_k + 1 cells (grids.n_k), the zone-squared kernel
-    (grids.n_k2d twice), an omega x omega or omega x q map, a k sweep
-    (params.n_points)."""
+    callable default is derived from the parsed (model, cavity). A minimum
+    (">=", m) or (">", m) bounds the value, or each entry of a number_list,
+    from below; None bounds nothing. `arrays` lists the complex arrays the
+    command allocates, each as the size keys of its axes: a zone of n_k + 1
+    cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), an
+    omega x omega or omega x q map, a k sweep (params.n_points)."""
 
     help: str
     reads: tuple[str, ...]
-    params: dict[str, tuple[str, Any, int | None]]
+    params: dict[str, tuple[str, Any, tuple[str, float] | None]]
     arrays: tuple[tuple[str, ...], ...] = ()
 
 
@@ -46,11 +47,12 @@ _OMEGA_Q = ("grids.omega.count", "grids.q.count")
 _SWEEP = ("params.n_points",)
 
 
-# smallest accepted integer params: n_points one sample, n_max three rungs
-# for the quadratic fit
+# smallest accepted params: n_points one sample, n_max three rungs for the
+# quadratic fit; the pump width sigma is positive and every hopping ratio and
+# interaction range nonnegative, as the library requires
 COMMANDS = {
     "bands": Command("band energies, gap, dipole, and Bloch phase across the zone", (),
-                     {"n_points": ("int", 256, 1)}, (_SWEEP,)),
+                     {"n_points": ("int", 256, (">=", 1))}, (_SWEEP,)),
     "zak": Command("Wilson-loop geometric phase of the occupied band", (), {}, (_ZONE,)),
     "self-energy": Command("retarded photon self-energy on a frequency grid",
                            ("cavity", "omega"), {}, (_ZONE,)),
@@ -60,7 +62,8 @@ COMMANDS = {
                         {"g": ("number", lambda model, cavity: cavity.g, None),
                          "delta_pi": ("number", lambda model, cavity: model.edge_gap, None)}),
     "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
-                         {"r_values": ("number_list", None, None), "n_max": ("int", 5, 2)},
+                         {"r_values": ("number_list", None, (">=", 0)),
+                          "n_max": ("int", 5, (">=", 2))},
                          (_ZONE,)),
     "vertex": Command("direct four-photon vertex on a frequency square",
                       ("cavity", "kernel", "omega"), {},
@@ -69,13 +72,13 @@ COMMANDS = {
                       ("cavity", "kernel", "omega"), {}, (_OMEGA_SQUARE,)),
     "biphoton": Command("two-photon input/output states and their Schmidt spectrum",
                         ("kernel", "omega"),
-                        {"omega0": ("number", None, None), "sigma": ("number", None, None)},
+                        {"omega0": ("number", None, None), "sigma": ("number", None, (">", 0))},
                         (_OMEGA_SQUARE,)),
     "schmidt-scan": Command("Schmidt entropy vs interaction range", ("kernel", "omega"),
-                            {"omega0": ("number", None, None), "sigma": ("number", None, None),
-                             "zeta_values": ("number_list", None, None)}, (_OMEGA_SQUARE,)),
+                            {"omega0": ("number", None, None), "sigma": ("number", None, (">", 0)),
+                             "zeta_values": ("number_list", None, (">=", 0))}, (_OMEGA_SQUARE,)),
     "dressed-bands": Command("cavity-dressed electronic bands and interband self-energy",
-                             ("cavity",), {"n_points": ("int", 256, 1),
+                             ("cavity",), {"n_points": ("int", 256, (">=", 1)),
                                            "onshell": ("bool", True, None),
                                            "omega": ("number", 0.0, None)}, (_SWEEP,)),
     "keldysh": Command("thermal Green functions and mode occupation",
@@ -123,16 +126,26 @@ def _check_keys(mapping: dict, allowed, where: str) -> None:
         raise ConfigInvalidError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(mapping: dict, key: str, where: str, default=None) -> float:
+def _number(mapping: dict, key: str, where: str, default=None, minimum=None) -> float:
     if key not in mapping:
         if default is None:
             raise ConfigInvalidError(f"{where}.{key} is required")
         return float(default)
-    return _finite(mapping[key], f"{where}.{key}")
+    return _finite(mapping[key], f"{where}.{key}", minimum)
 
 
-def _finite(value, where: str) -> float:
-    """A JSON number as a float; bools, strings and NaN/Infinity are rejected."""
+def _bounded(value, minimum, where: str):
+    """`value` if it meets `minimum`, (">=", m) or (">", m); None bounds nothing."""
+    if minimum is not None:
+        op, bound = minimum
+        if value < bound or (op == ">" and value == bound):
+            raise ConfigInvalidError(f"{where} must be {op} {bound}, got {value}")
+    return value
+
+
+def _finite(value, where: str, minimum=None) -> float:
+    """A JSON number as a float; bools, strings, NaN/Infinity and values below
+    `minimum` are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalidError(f"{where} must be a number, got {value!r}")
     try:
@@ -141,7 +154,7 @@ def _finite(value, where: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ConfigInvalidError(f"{where} must be a finite number, got {value!r}")
-    return number
+    return _bounded(number, minimum, where)
 
 
 def _integer(mapping: dict, key: str, where: str, default=None, minimum=None) -> int:
@@ -152,9 +165,7 @@ def _integer(mapping: dict, key: str, where: str, default=None, minimum=None) ->
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigInvalidError(f"{where}.{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigInvalidError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return value
+    return _bounded(value, minimum, f"{where}.{key}")
 
 
 def _boolean(mapping: dict, key: str, where: str, default: bool) -> bool:
@@ -166,13 +177,13 @@ def _boolean(mapping: dict, key: str, where: str, default: bool) -> bool:
     return value
 
 
-def _number_list(mapping: dict, key: str, where: str) -> list[float]:
+def _number_list(mapping: dict, key: str, where: str, minimum=None) -> list[float]:
     if key not in mapping:
         raise ConfigInvalidError(f"{where}.{key} is required")
     value = mapping[key]
     if not isinstance(value, list) or not value:
         raise ConfigInvalidError(f"{where}.{key} must be a nonempty array")
-    return [_finite(entry, f"{where}.{key}[{i}]") for i, entry in enumerate(value)]
+    return [_finite(entry, f"{where}.{key}[{i}]", minimum) for i, entry in enumerate(value)]
 
 
 def _grid(mapping: dict, key: str, where: str) -> FrequencyGrid | None:
@@ -196,13 +207,13 @@ def _parse_params(section: dict, schema: dict, model: SshParams, cavity: CavityP
         if callable(default):
             default = default(model, cavity)
         if kind == "number":
-            out[key] = _number(section, key, "params", default)
+            out[key] = _number(section, key, "params", default, minimum)
         elif kind == "int":
             out[key] = _integer(section, key, "params", default, minimum)
         elif kind == "bool":
             out[key] = _boolean(section, key, "params", default)
         elif kind == "number_list":
-            out[key] = _number_list(section, key, "params")
+            out[key] = _number_list(section, key, "params", minimum)
     return out
 
 
@@ -246,8 +257,8 @@ def parse_config(document: dict, command: str) -> RunConfig:
 
     grids_sec = _require_mapping(root.get("grids", {}), "grids")
     _check_keys(grids_sec, ("n_k", "n_k2d", "omega", "q"), "grids")
-    n_k = _integer(grids_sec, "n_k", "grids", DEFAULT_NK, MIN_NK)
-    n_k2d = _integer(grids_sec, "n_k2d", "grids", DEFAULT_NK2D, MIN_NK)
+    n_k = _integer(grids_sec, "n_k", "grids", DEFAULT_NK, (">=", MIN_NK))
+    n_k2d = _integer(grids_sec, "n_k2d", "grids", DEFAULT_NK2D, (">=", MIN_NK))
     omega_grid = _grid(grids_sec, "omega", "grids")
     q_grid = _grid(grids_sec, "q", "grids")
 

@@ -27,7 +27,6 @@ from cavityssh import (
     spectral_map,
     zone_trapezoid,
 )
-from cavityssh import cavity
 from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import pairwise_sum
 
@@ -238,39 +237,13 @@ def test_self_energy_kramers_kronig_spot():
     assert abs(transform / np.pi - reference) < 0.02 * abs(reference)
 
 
-def test_self_energy_spectrum_thread_count_invariant():
-    grid = FrequencyGrid(0.5, 4.5, 37)
-    one = self_energy_spectrum(grid, TOPO, CAV, n_k=1024, threads=1)
-    three = self_energy_spectrum(grid, TOPO, CAV, n_k=1024, threads=3)
-    assert np.array_equal(one, three)
-
-
-@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
-def test_self_energy_spectrum_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, workers):
-    """threads=10_000 starts at most one worker per CPU (none when the count is
-    unknown) and gives the serial values; the pool is a serial stand-in, so no
-    thread starts."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(cavity, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
-    grid = FrequencyGrid(0.5, 4.5, 64)
-    many = self_energy_spectrum(grid, TOPO, CAV, n_k=256, threads=10_000)
-    assert started == workers
-    assert np.array_equal(many, self_energy_spectrum(grid, TOPO, CAV, n_k=256, threads=1))
+def test_self_energy_spectrum_is_the_per_omega_self_energy():
+    """Each sweep value is the serial photon_self_energy of its omega, bit for bit."""
+    grid = FrequencyGrid(0.5, 4.5, 41)
+    sweep = self_energy_spectrum(grid, TOPO, CAV, n_k=1024)
+    assert sweep.dtype == complex and sweep.shape == (41,)
+    direct = [photon_self_energy(float(omega), TOPO, CAV, n_k=1024) for omega in grid.values]
+    assert np.array_equal(sweep, direct)
 
 
 def test_dressed_propagator_bare_resonance():
@@ -315,14 +288,6 @@ def test_spectral_map_even_in_q():
     q_grid = FrequencyGrid(-2.0, 2.0, 9)
     smap = spectral_map(omega_grid, q_grid, TOPO, CAV, n_k=1024)
     assert np.array_equal(smap, smap[:, ::-1])
-
-
-def test_spectral_map_thread_count_invariant():
-    omega_grid = FrequencyGrid(0.6, 1.5, 10)
-    q_grid = FrequencyGrid(-1.0, 1.0, 5)
-    one = spectral_map(omega_grid, q_grid, TOPO, CAV, n_k=512, threads=1)
-    eight = spectral_map(omega_grid, q_grid, TOPO, CAV, n_k=512, threads=8)
-    assert np.array_equal(one, eight)
 
 
 def test_hopfield_resonant_splitting():

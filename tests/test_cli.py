@@ -668,7 +668,7 @@ def test_memory_error_in_compute_exits_3_with_error_manifest(tmp_path, monkeypat
 
 
 def test_unexpected_handler_exception_exits_3(tmp_path, monkeypatch, capsys):
-    def broken(cfg, threads, log):
+    def broken(cfg, log):
         raise RuntimeError("handler bug")
 
     monkeypatch.setitem(cli._HANDLERS, "bands", broken)
@@ -692,6 +692,17 @@ OMEGA4 = {"start": 0.6, "stop": 1.4, "count": 4}
     ("bands", {**BANDS_DOC, "params": {"n_points": -3}}, "params.n_points must be >= 1, got -3"),
     ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5, 0.7], "n_max": 1}},
      "params.n_max must be >= 2, got 1"),
+    ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5, -0.5]}},
+     "params.r_values[1] must be >= 0, got -0.5"),
+    ("biphoton", {"model": CHAIN, "grids": {"omega": OMEGA4},
+                  "params": {"omega0": 1.0, "sigma": 0}},
+     "params.sigma must be > 0, got 0.0"),
+    ("schmidt-scan", {"model": CHAIN, "grids": {"omega": OMEGA4},
+                      "params": {"omega0": 1.0, "sigma": -0.1, "zeta_values": [0.0]}},
+     "params.sigma must be > 0, got -0.1"),
+    ("schmidt-scan", {"model": CHAIN, "grids": {"omega": OMEGA4},
+                      "params": {"omega0": 1.0, "sigma": 0.1, "zeta_values": [0.0, 1.0, -2.0]}},
+     "params.zeta_values[2] must be >= 0, got -2.0"),
 ])
 def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)

@@ -52,6 +52,16 @@ def test_import_loads_neither_numpy_nor_a_submodule():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_a_thread_pool_nor_logging():
+    probe = (
+        "import sys, cavityssh.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_cli_module_entry_reports_the_version():
     result = run_python("-m", "cavityssh.cli", "--version")
     assert result.returncode == 0, result.stderr
