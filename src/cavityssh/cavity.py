@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError
 from .lattice import SshParams, band_gap, dipole
-from .numerics import DEFAULT_NK, FrequencyGrid, pairwise_sum, zone_trapezoid
+from .numerics import FrequencyGrid, pairwise_sum, zone_trapezoid
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class BubbleTable:
     zone-sized array and threads sharing one table never share a buffer.
     """
 
-    def __init__(self, p: SshParams, eta: float, n_k: int = DEFAULT_NK):
+    def __init__(self, p: SshParams, eta: float, n_k: int):
         self.nodes, weights = zone_trapezoid(n_k)
         self.eta = float(eta)
         self.delta = np.asarray(band_gap(self.nodes, p))
@@ -106,9 +106,7 @@ class BubbleTable:
         return complex(total / (2.0 * np.pi))
 
 
-def photon_self_energy(
-    omega: float, p: SshParams, c: CavityParams, n_k: int = DEFAULT_NK
-) -> complex:
+def photon_self_energy(omega: float, p: SshParams, c: CavityParams, n_k: int) -> complex:
     """Retarded photon self-energy g^2 (1/2pi) int dk |mu|^2/(omega - Delta + i eta).
 
     Builds a one-shot zone; a caller that evaluates many omega should hold a
@@ -118,7 +116,7 @@ def photon_self_energy(
 
 
 def self_energy_spectrum(
-    grid: FrequencyGrid, p: SshParams, c: CavityParams, n_k: int = DEFAULT_NK
+    grid: FrequencyGrid, p: SshParams, c: CavityParams, n_k: int
 ) -> np.ndarray:
     """Sigma^R at each frequency of the grid, from one zone table; each value
     is the photon_self_energy of its frequency, bit for bit."""
@@ -127,33 +125,15 @@ def self_energy_spectrum(
     return np.fromiter(sweep, dtype=complex, count=grid.count)
 
 
-def dressed_propagator(
-    omega: float,
-    q: float,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int = DEFAULT_NK,
-    sigma: complex | None = None,
-) -> complex:
-    """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta).
-
-    Pass a precomputed `sigma` to amortize the bubble over many q at fixed omega.
-    """
-    if sigma is None:
-        sigma = photon_self_energy(omega, p, c, n_k)
+def dressed_propagator(omega: float, q: float, c: CavityParams, sigma: complex) -> complex:
+    """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta),
+    with Sigma^R = `sigma` the self-energy at omega."""
     return 1.0 / (omega - c.omega_c - c.mass_beta * q * q - sigma + 1j * c.eta)
 
 
-def spectral_function(
-    omega: float,
-    q: float,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int = DEFAULT_NK,
-    sigma: complex | None = None,
-) -> float:
+def spectral_function(omega: float, q: float, c: CavityParams, sigma: complex) -> float:
     """A(omega, q) = -(1/pi) Im G^R_cav; nonnegative by construction."""
-    return -dressed_propagator(omega, q, p, c, n_k, sigma=sigma).imag / np.pi
+    return -dressed_propagator(omega, q, c, sigma).imag / np.pi
 
 
 def spectral_map(
@@ -161,7 +141,7 @@ def spectral_map(
     q_grid: FrequencyGrid,
     p: SshParams,
     c: CavityParams,
-    n_k: int = DEFAULT_NK,
+    n_k: int,
 ) -> np.ndarray:
     """A(omega, q) on the product grid, shape (len(omega), len(q)); the bubble
     is computed once per omega and reused across q."""

@@ -16,8 +16,8 @@ from .cavity import CavityParams
 from .errors import ConfigInvalidError
 from .keldysh import ThermalState
 from .lattice import SshParams
-from .numerics import DEFAULT_NK, MIN_NK, FrequencyGrid
-from .vertex import DEFAULT_NK2D, InteractionKernel
+from .numerics import MIN_NK, FrequencyGrid
+from .vertex import InteractionKernel
 
 
 class Command(NamedTuple):
@@ -28,8 +28,8 @@ class Command(NamedTuple):
     (">=", m) or (">", m) bounds the value, or each entry of a number_list,
     from below; None bounds nothing. `arrays` lists the complex arrays the
     command allocates, each as the size keys of its axes: a zone of n_k + 1
-    cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), an
-    omega x omega or omega x q map, a k sweep (params.n_points)."""
+    cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), a value
+    per omega, an omega x omega or omega x q map, a k sweep (params.n_points)."""
 
     help: str
     reads: tuple[str, ...]
@@ -37,11 +37,17 @@ class Command(NamedTuple):
     arrays: tuple[tuple[str, ...], ...] = ()
 
 
+# the zone sizes of a config without grids.n_k / grids.n_k2d; the library
+# has no defaults and takes every zone size from its caller
+DEFAULT_NK = 4096
+DEFAULT_NK2D = 512
+
 # the largest complex array a run may allocate; a bigger grid exits 2 at parse
 # time instead of failing in compute
 MAX_ARRAY_BYTES = 1 << 30
 
 _ZONE = ("grids.n_k",)
+_OMEGA = ("grids.omega.count",)
 _OMEGA_SQUARE = ("grids.omega.count", "grids.omega.count")
 _OMEGA_Q = ("grids.omega.count", "grids.q.count")
 _SWEEP = ("params.n_points",)
@@ -55,7 +61,7 @@ COMMANDS = {
                      {"n_points": ("int", 256, (">=", 1))}, (_SWEEP,)),
     "zak": Command("Wilson-loop geometric phase of the occupied band", (), {}, (_ZONE,)),
     "self-energy": Command("retarded photon self-energy on a frequency grid",
-                           ("cavity", "omega"), {}, (_ZONE,)),
+                           ("cavity", "omega"), {}, (_ZONE, _OMEGA)),
     "spectrum": Command("dressed cavity spectral map A(omega, q)", ("cavity", "omega", "q"), {},
                         (_ZONE, _OMEGA_Q)),
     "hopfield": Command("two-level reference polariton branches", ("cavity", "q"),

@@ -19,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, dressed_propagator, photon_self_energy, self_energy_spectrum
+from .cavity import CavityParams, dressed_propagator, self_energy_spectrum
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
 from .lattice import SshParams
-from .numerics import DEFAULT_NK, FrequencyGrid
+from .numerics import FrequencyGrid
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this n_B underflows to 0 anyway
 
@@ -82,40 +82,26 @@ def _occupation_from(g_r: complex, g_k, eta: float, omega: float, q: float):
 
 
 def keldysh_green(
-    omega: float,
-    q: float,
-    p: SshParams,
-    c: CavityParams,
-    th: ThermalState,
-    n_k: int = DEFAULT_NK,
-    sigma: complex | None = None,
+    omega: float, q: float, c: CavityParams, th: ThermalState, sigma: complex
 ) -> complex:
-    """G^K = G^R Sigma^K G^A = |G^R|^2 Sigma^K; purely imaginary, Im >= 0."""
-    if sigma is None:
-        sigma = photon_self_energy(omega, p, c, n_k)
-    g_r = dressed_propagator(omega, q, p, c, n_k, sigma=sigma)
+    """G^K = G^R Sigma^K G^A = |G^R|^2 Sigma^K, with Sigma^R = `sigma` the
+    self-energy at omega; purely imaginary, Im >= 0."""
+    g_r = dressed_propagator(omega, q, c, sigma)
     return _green_keldysh(g_r, _sigma_keldysh(sigma, bose_occupation(omega, th)))
 
 
 def occupation(
-    omega: float,
-    q: float,
-    p: SshParams,
-    c: CavityParams,
-    th: ThermalState,
-    n_k: int = DEFAULT_NK,
-    sigma: complex | None = None,
+    omega: float, q: float, c: CavityParams, th: ThermalState, sigma: complex
 ) -> float:
-    """Mode occupation n(omega) = (1/2) (G^K_tot / (-2i Im G^R) - 1).
+    """Mode occupation n(omega) = (1/2) (G^K_tot / (-2i Im G^R) - 1), with
+    Sigma^R = `sigma` the self-energy at omega.
 
     G^K_tot includes the regulator's vacuum noise 2 i eta |G^R|^2 alongside the
     bath term, which makes the ratio a weight average of the bath occupation
     n_B (weight |Im Sigma^R|) and the spectator's zero (weight eta):
     exact 0 at T = 0, and n_B (1 - eta/(eta + |Im Sigma^R|)) in equilibrium.
     """
-    if sigma is None:
-        sigma = photon_self_energy(omega, p, c, n_k)
-    g_r = dressed_propagator(omega, q, p, c, n_k, sigma=sigma)
+    g_r = dressed_propagator(omega, q, c, sigma)
     g_k = _green_keldysh(g_r, _sigma_keldysh(sigma, bose_occupation(omega, th)))
     return _occupation_from(g_r, g_k, c.eta, omega, q)
 
@@ -126,7 +112,7 @@ def keldysh_map(
     p: SshParams,
     c: CavityParams,
     th: ThermalState,
-    n_k: int = DEFAULT_NK,
+    n_k: int,
 ) -> KeldyshMap:
     """G^K, A and n on the product grid, bit for bit the per-point functions.
 
@@ -144,7 +130,7 @@ def keldysh_map(
         sigma_k = _sigma_keldysh(sigma, bose_occupation(omega, th))
         row_gk, row_a, row_n = [], [], []
         for q in qs:
-            g_r = dressed_propagator(omega, q, p, c, n_k, sigma=sigma)
+            g_r = dressed_propagator(omega, q, c, sigma)
             g_k = _green_keldysh(g_r, sigma_k)
             row_gk.append(g_k)
             row_a.append(-g_r.imag / np.pi)

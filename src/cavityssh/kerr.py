@@ -17,7 +17,6 @@ from .errors import CriticalPointError, NoConvergenceError
 from .lattice import SshParams
 from .numerics import complex_newton, polyfit_quadratic
 
-KERR_DEFAULT_NK = 65536
 CRITICAL_GUARD = 0.02
 
 
@@ -39,25 +38,26 @@ class KerrScanRow:
     r: float
     result: KerrResult | None
     u_closed: complex
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.result is not None
 
 
 def solve_omega_sequence(
     n_max: int,
-    p: SshParams,
+    table: BubbleTable,
     c: CavityParams,
-    n_k: int = KERR_DEFAULT_NK,
     tol: float = 1e-12,
     max_iter: int = 60,
-    table: BubbleTable | None = None,
     seed_integral: complex | None = None,
 ) -> np.ndarray:
     """omega_n for n = 0..n_max via complex Newton with continuation seeding.
 
     n = 0 is seeded at omega_c; each higher rung starts from the previous
     solution. The Newton derivative uses the analytic squared-denominator
-    bubble. `table` is the zone of (p, c.eta, n_k), built here when omitted;
-    `seed_integral` is its I(omega_c), when the caller already has it.
+    bubble. `table` is the zone of the chain at c.eta; `seed_integral` is its
+    I(omega_c), when the caller already has it.
 
     Each bubble integral I(z) is evaluated once: rung n's last Newton iterate
     is rung n + 1's seed, so the I(z) of rung n's final residual is reused
@@ -65,8 +65,6 @@ def solve_omega_sequence(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if table is None:
-        table = BubbleTable(p, c.eta, n_k)
     prefactor = c.g**2
     out = np.empty(n_max + 1, dtype=complex)
     seed = complex(c.omega_c)
@@ -111,7 +109,7 @@ def kerr_scan(
     r_values,
     p: SshParams,
     c: CavityParams,
-    n_k: int = KERR_DEFAULT_NK,
+    n_k: int,
     n_max: int = 5,
     tol: float = 1e-12,
     max_iter: int = 60,
@@ -143,9 +141,7 @@ def _scan_row(
     at_omega_c = table.integral(c_r.omega_c)
     u_closed = c_r.g**2 * at_omega_c  # photon_self_energy(omega_c) from this table
     try:
-        ladder = solve_omega_sequence(
-            n_max, p_r, c_r, n_k, tol, max_iter, table=table, seed_integral=at_omega_c
-        )
+        ladder = solve_omega_sequence(n_max, table, c_r, tol, max_iter, at_omega_c)
     except NoConvergenceError:
-        return KerrScanRow(r=r, result=None, u_closed=u_closed, converged=False)
-    return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed, converged=True)
+        return KerrScanRow(r=r, result=None, u_closed=u_closed)
+    return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed)

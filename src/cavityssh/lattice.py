@@ -82,7 +82,7 @@ def bloch_phase(k, p: SshParams):
     return theta if theta.ndim else float(theta)
 
 
-def zak_phase(p: SshParams, n_k: int = 1024, critical_tol: float = 1e-6) -> float:
+def zak_phase(p: SshParams, n_k: int, critical_tol: float = 1e-6) -> float:
     """Valence-band Zak phase via a discretized Wilson loop: exactly 0.0 or pi.
 
     The valence eigenvector is (-e^{-i theta(k)}, 1)/sqrt(2), so the link

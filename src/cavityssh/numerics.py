@@ -19,7 +19,6 @@ from .errors import (
     PoleOnBoundaryError,
 )
 
-DEFAULT_NK = 4096
 MIN_NK = 64
 
 
@@ -104,7 +103,7 @@ def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def bz_integrate(f: Callable[[np.ndarray], np.ndarray], n_k: int = DEFAULT_NK):
+def bz_integrate(f: Callable[[np.ndarray], np.ndarray], n_k: int):
     """(1/2pi) * trapezoid of f over the periodic zone [-pi, pi].
 
     `f` must accept an ndarray of momenta. Exact for constants; spectrally
@@ -136,7 +135,7 @@ def principal_value(
     a: float,
     b: float,
     pole: float,
-    n_k: int = DEFAULT_NK,
+    n_k: int = 4096,
 ):
     """Cauchy principal value of int_a^b f(x)/(x - pole) dx.
 

@@ -18,8 +18,6 @@ from .errors import BelowThresholdError, ZeroRangeError
 from .lattice import BandEdgeParams, SshParams
 from .numerics import pairwise_sum
 
-DEFAULT_NK2D = 512
-
 
 @dataclass(frozen=True)
 class InteractionKernel:
@@ -51,7 +49,7 @@ def gamma4_direct(
     p: SshParams,
     c: CavityParams,
     kern: InteractionKernel,
-    n_k: int = DEFAULT_NK2D,
+    n_k: int,
 ) -> complex:
     """Double-trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2.
 
@@ -71,25 +69,21 @@ def gamma4_direct_grid(
     p: SshParams,
     c: CavityParams,
     kern: InteractionKernel,
-    n_k: int = DEFAULT_NK2D,
+    n_k: int,
 ) -> np.ndarray:
     """gamma4_direct on the square grid omegas x omegas (one zone, one kernel build).
 
-    Row i is one row-wise pairwise sum over all omega2; pairwise_sum brackets
-    each row as it brackets a single vector, so the entries equal the
-    per-pair sums bit for bit. All inner sums come first, so the zone-squared
-    kernel and product buffers are freed before the outer sums allocate.
+    Column k of the inner sums is one pairwise sum over k' of
+    v[k, k'] b_i[k'] for every omega_i at once, the products of gamma4_direct
+    in the same operand order; pairwise_sum brackets each row as it brackets
+    a single vector, so the entries equal the per-pair sums bit for bit. No
+    zone-squared product is ever formed: the largest temporary is one
+    omega-by-zone product.
     """
     table = BubbleTable(p, c.eta, n_k)
     v = _kernel_matrix(table.nodes, kern)
     bvecs = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)])
-    product = np.empty(v.shape, dtype=complex)
-    pair = np.empty((2, (v.shape[1] + 1) // 2, v.shape[0]), dtype=complex)
-    inner = np.empty(bvecs.shape, dtype=complex)
-    for row, bv in zip(inner, bvecs):
-        np.multiply(v, bv[None, :], out=product)
-        row[:] = pairwise_sum(product, axis=1, scratch=pair)
-    del v, product, pair
+    inner = np.stack([pairwise_sum(v_k * bvecs, axis=-1) for v_k in v], axis=-1)
     scale = (2.0 * np.pi) ** 2
     return np.stack([pairwise_sum(row * bvecs, axis=-1) / scale for row in inner])
 

@@ -239,9 +239,10 @@ def test_criterion_08_keldysh():
     # spectra and the Keldysh-side combination through G^A = conj(G^R)
     sigma_table = BubbleTable(TOPO, pinned.eta, n_k=4096)
     for omega in np.linspace(2.0, 2.5, 41):
+        sigma_r = photon_self_energy(float(omega), TOPO, pinned, n_k=4096)
         for q in (0.0, 0.7):
-            g_r = dressed_propagator(float(omega), q, TOPO, pinned, n_k=4096)
-            from_resolvent = spectral_function(float(omega), q, TOPO, pinned, n_k=4096)
+            g_r = dressed_propagator(float(omega), q, pinned, sigma_r)
+            from_resolvent = spectral_function(float(omega), q, pinned, sigma_r)
             assert -g_r.imag / np.pi == from_resolvent
             from_advanced = (1j * (g_r - np.conj(g_r)) / (2.0 * np.pi)).real
             assert abs(from_advanced - from_resolvent) <= 4e-16 * abs(from_resolvent)
@@ -254,12 +255,13 @@ def test_criterion_08_keldysh():
     deviations = []
     for eta in (1e-2, 1e-3, 1e-4):
         c = CavityParams(omega_c=2.2619, mass_beta=0.5, g=1.0, eta=eta)
-        n = occupation(omega_peak, 0.0, TOPO, c, warm, n_k=16384)
+        n = occupation(omega_peak, 0.0, c, warm, photon_self_energy(omega_peak, TOPO, c, n_k=16384))
         deviations.append(abs(n / bose_occupation(omega_peak, warm) - 1.0))
     assert deviations[1] < 0.01
     assert deviations[0] > deviations[1] > deviations[2]
 
-    cold = occupation(omega_peak, 0.0, TOPO, pinned, ThermalState(0.0), n_k=16384)
+    sigma_peak = photon_self_energy(omega_peak, TOPO, pinned, n_k=16384)
+    cold = occupation(omega_peak, 0.0, pinned, ThermalState(0.0), sigma_peak)
     assert abs(cold) < 1e-10
     clock.check()
 

@@ -248,18 +248,20 @@ def test_self_energy_spectrum_is_the_per_omega_self_energy():
 
 def test_dressed_propagator_bare_resonance():
     off = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.0, eta=1e-2)
-    value = dressed_propagator(1.0 + 0.5 * 0.7**2, 0.7, TOPO, off, n_k=512)
+    omega = 1.0 + 0.5 * 0.7**2
+    value = dressed_propagator(omega, 0.7, off, photon_self_energy(omega, TOPO, off, n_k=512))
     assert abs(value - (-1j / off.eta)) < 1e-9
 
 
 def test_dressed_propagator_retarded_sign():
     for omega in (0.3, 1.0, 2.2, 4.8):
-        assert dressed_propagator(omega, 0.4, TOPO, CAV, n_k=1024).imag < 0
+        sigma = photon_self_energy(omega, TOPO, CAV, n_k=1024)
+        assert dressed_propagator(omega, 0.4, CAV, sigma).imag < 0
 
 
 def test_spectral_function_bare_lorentzian_peak():
     off = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.0, eta=1e-2)
-    peak = spectral_function(1.0, 0.0, TOPO, off, n_k=512)
+    peak = spectral_function(1.0, 0.0, off, photon_self_energy(1.0, TOPO, off, n_k=512))
     assert abs(peak - 1.0 / (np.pi * off.eta)) < 1e-9 / off.eta
 
 
@@ -278,8 +280,9 @@ def test_spectral_map_matches_pointwise_calls():
     smap = spectral_map(omega_grid, q_grid, TOPO, CAV, n_k=1024)
     assert smap.shape == (3, 3) and smap.dtype == float
     for i, omega in enumerate(omega_grid.values):
+        sigma = photon_self_energy(float(omega), TOPO, CAV, n_k=1024)
         for j, q in enumerate(q_grid.values):
-            direct = spectral_function(float(omega), float(q), TOPO, CAV, n_k=1024)
+            direct = spectral_function(float(omega), float(q), CAV, sigma)
             assert abs(smap[i, j] - direct) < 1e-12 * abs(direct)
 
 

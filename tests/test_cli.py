@@ -38,6 +38,7 @@ from cavityssh import (
     keldysh_green,
     kerr_scan,
     occupation,
+    photon_self_energy,
     scattered_pair,
     sigma_matrix,
     zak_phase,
@@ -107,6 +108,10 @@ def test_parse_config_fills_documented_defaults():
     assert cfg.cavity.g == 1.0
     assert cfg.n_k == 4096
     assert cfg.params["n_points"] == 256
+    # the zone commands run at the same n_k when grids.n_k is left out
+    for command, params in (("kerr-scan", {"r_values": [0.5]}), ("zak", {})):
+        doc = {"model": {"t1": 1.0, "t2": 1.5}, "params": params}
+        assert parse_config(doc, command).n_k == 4096
 
 
 def test_parse_config_derives_hopfield_defaults():
@@ -375,11 +380,13 @@ def test_keldysh_csv_equals_the_pointwise_rows(tmp_path):
     c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=0.01)
     rows = []
     for w in np.linspace(0.6, 1.5, 7):
+        w = float(w)
+        sigma = photon_self_energy(w, p, c, n_k=512)
         for q in np.linspace(-1.0, 2.0, 5):
-            w, q = float(w), float(q)
-            g_k = keldysh_green(w, q, p, c, th, n_k=512)
-            a = -dressed_propagator(w, q, p, c, n_k=512).imag / np.pi
-            rows.append((w, q, g_k.real, g_k.imag, a, occupation(w, q, p, c, th, n_k=512)))
+            q = float(q)
+            g_k = keldysh_green(w, q, c, th, sigma)
+            a = -dressed_propagator(w, q, c, sigma).imag / np.pi
+            rows.append((w, q, g_k.real, g_k.imag, a, occupation(w, q, c, th, sigma)))
     expected = format_cell_csv("omega,q,ReGK,ImGK,A,n", rows)
     assert (out_dir / "keldysh.csv").read_bytes() == expected
 
@@ -727,6 +734,8 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
      "grids.omega.count needs a 10000 x 10000 complex array"),
     ("self-energy", {"model": CHAIN, "grids": {"n_k": 10**8, "omega": OMEGA4}},
      "grids.n_k needs a 100000001-cell complex array (1.49 GiB), over the 1 GiB limit"),
+    ("self-energy", {"model": CHAIN, "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**8}}},
+     "grids.omega.count needs a 100000000-cell complex array (1.49 GiB), over the 1 GiB limit"),
     ("zak", {"model": CHAIN, "grids": {"n_k": 10**8}},
      "grids.n_k needs a 100000001-cell complex array"),
     ("kerr-scan", {"model": CHAIN, "grids": {"n_k": 10**8}, "params": {"r_values": [0.5]}},

@@ -28,7 +28,10 @@ COLD = ThermalState(temperature=0.0)
 
 def peak_frequency(c: CavityParams, n_k: int = 8192) -> float:
     omegas = np.linspace(2.0, 2.5, 501)
-    a_vals = [spectral_function(float(w), 0.0, TOPO, c, n_k=n_k) for w in omegas]
+    a_vals = [
+        spectral_function(float(w), 0.0, c, photon_self_energy(float(w), TOPO, c, n_k=n_k))
+        for w in omegas
+    ]
     return float(omegas[int(np.argmax(a_vals))])
 
 
@@ -64,8 +67,8 @@ def test_bose_occupation_rejects_nonpositive_frequency():
 
 def keldysh_self_energy(omega: float, c: CavityParams, th: ThermalState, sigma: complex):
     """Sigma^K read back from keldysh_green as G^K / |G^R|^2."""
-    g_r = dressed_propagator(omega, 0.0, TOPO, c, sigma=sigma)
-    return keldysh_green(omega, 0.0, TOPO, c, th, sigma=sigma) / abs(g_r) ** 2
+    g_r = dressed_propagator(omega, 0.0, c, sigma)
+    return keldysh_green(omega, 0.0, c, th, sigma) / abs(g_r) ** 2
 
 
 def test_keldysh_self_energy_structure():
@@ -90,19 +93,20 @@ def test_keldysh_self_energy_thermal_factor():
 
 
 def test_keldysh_green_structure():
-    gk = keldysh_green(2.2, 0.0, TOPO, PINNED, WARM, n_k=2048)
+    gk = keldysh_green(2.2, 0.0, PINNED, WARM, photon_self_energy(2.2, TOPO, PINNED, n_k=2048))
     assert abs(gk.real) < 1e-12 * abs(gk.imag)
     assert gk.imag > 0.0
 
     off = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.0, eta=1e-2)
-    assert keldysh_green(2.2, 0.0, TOPO, off, WARM, n_k=512) == 0j
+    assert keldysh_green(2.2, 0.0, off, WARM, photon_self_energy(2.2, TOPO, off, n_k=512)) == 0j
 
 
 def test_keldysh_green_peaks_with_spectral_function():
     omegas = np.linspace(2.0, 2.5, 201)
-    a_vals = [spectral_function(float(w), 0.0, TOPO, PINNED, n_k=4096) for w in omegas]
+    sigmas = [photon_self_energy(float(w), TOPO, PINNED, n_k=4096) for w in omegas]
+    a_vals = [spectral_function(float(w), 0.0, PINNED, s) for w, s in zip(omegas, sigmas)]
     gk_vals = [
-        abs(keldysh_green(float(w), 0.0, TOPO, PINNED, WARM, n_k=4096)) for w in omegas
+        abs(keldysh_green(float(w), 0.0, PINNED, WARM, s)) for w, s in zip(omegas, sigmas)
     ]
     assert abs(int(np.argmax(a_vals)) - int(np.argmax(gk_vals))) <= 1
 
@@ -111,20 +115,22 @@ def test_keldysh_green_equilibrium_identity_at_peak():
     """G^K = -2i Im G^R (1 + 2 n_B) holds to the eta/|Im Sigma| budget at the
     spectral peak once the broadening is bath dominated."""
     omega = peak_frequency(PINNED)
-    gr = dressed_propagator(omega, 0.0, TOPO, PINNED, n_k=16384)
-    gk = keldysh_green(omega, 0.0, TOPO, PINNED, WARM, n_k=16384)
+    sigma = photon_self_energy(omega, TOPO, PINNED, n_k=16384)
+    gr = dressed_propagator(omega, 0.0, PINNED, sigma)
+    gk = keldysh_green(omega, 0.0, PINNED, WARM, sigma)
     reference = -2j * gr.imag * (1.0 + 2.0 * bose_occupation(omega, WARM))
     assert abs(gk / reference - 1.0) < 0.01
 
 
 def test_occupation_zero_temperature():
     omega = peak_frequency(PINNED)
-    assert abs(occupation(omega, 0.0, TOPO, PINNED, COLD, n_k=8192)) < 1e-10
+    sigma = photon_self_energy(omega, TOPO, PINNED, n_k=8192)
+    assert abs(occupation(omega, 0.0, PINNED, COLD, sigma)) < 1e-10
 
 
 def test_occupation_matches_bose_at_peak():
     omega = peak_frequency(PINNED)
-    n = occupation(omega, 0.0, TOPO, PINNED, WARM, n_k=16384)
+    n = occupation(omega, 0.0, PINNED, WARM, photon_self_energy(omega, TOPO, PINNED, n_k=16384))
     assert abs(n / bose_occupation(omega, WARM) - 1.0) < 0.01
 
 
@@ -133,7 +139,7 @@ def test_occupation_improves_as_regulator_sharpens():
     deviations = []
     for eta in (1e-2, 1e-3, 1e-4):
         c = CavityParams(omega_c=2.2619, mass_beta=0.5, g=1.0, eta=eta)
-        n = occupation(omega, 0.0, TOPO, c, WARM, n_k=16384)
+        n = occupation(omega, 0.0, c, WARM, photon_self_energy(omega, TOPO, c, n_k=16384))
         deviations.append(abs(n / bose_occupation(omega, WARM) - 1.0))
     assert deviations[0] > deviations[1] > deviations[2]
     assert deviations[1] < 0.01
@@ -141,7 +147,8 @@ def test_occupation_improves_as_regulator_sharpens():
 
 def test_occupation_is_q_independent_in_equilibrium():
     omega = peak_frequency(PINNED)
-    ns = [occupation(omega, q, TOPO, PINNED, WARM, n_k=4096) for q in (0.0, 0.5, 1.0)]
+    sigma = photon_self_energy(omega, TOPO, PINNED, n_k=4096)
+    ns = [occupation(omega, q, PINNED, WARM, sigma) for q in (0.0, 0.5, 1.0)]
     spread = max(ns) - min(ns)
     assert spread < 1e-12 * abs(ns[0])
 
@@ -149,7 +156,7 @@ def test_occupation_is_q_independent_in_equilibrium():
 def test_occupation_rejects_unphysical_self_energy():
     # a positive-imaginary sigma flips Im G^R and must be refused, not averaged
     with pytest.raises(ZeroSpectralWeightError):
-        occupation(2.2, 0.0, TOPO, PINNED, WARM, n_k=512, sigma=0.0 + 2e-3j)
+        occupation(2.2, 0.0, PINNED, WARM, sigma=0.0 + 2e-3j)
 
 
 def same_bits(got, expected):
@@ -168,12 +175,13 @@ def test_keldysh_map_matches_pointwise_functions_bit_for_bit(p, th):
     kmap = keldysh_map(omega_grid, q_grid, p, c, th, n_k=512)
     assert kmap.g_keldysh.shape == kmap.spectral.shape == kmap.occupation.shape == (9, 5)
     for i, w in enumerate(omega_grid.values.tolist()):
+        sigma = photon_self_energy(w, p, c, n_k=512)
         for j, q in enumerate(q_grid.values.tolist()):
-            assert same_bits(kmap.g_keldysh[i, j], keldysh_green(w, q, p, c, th, n_k=512))
-            g_r = dressed_propagator(w, q, p, c, n_k=512)
+            assert same_bits(kmap.g_keldysh[i, j], keldysh_green(w, q, c, th, sigma))
+            g_r = dressed_propagator(w, q, c, sigma)
             assert same_bits(kmap.spectral[i, j], -g_r.imag / np.pi)
-            assert same_bits(kmap.spectral[i, j], spectral_function(w, q, p, c, n_k=512))
-            assert same_bits(kmap.occupation[i, j], occupation(w, q, p, c, th, n_k=512))
+            assert same_bits(kmap.spectral[i, j], spectral_function(w, q, c, sigma))
+            assert same_bits(kmap.occupation[i, j], occupation(w, q, c, th, sigma))
 
 
 def test_keldysh_map_refuses_vanishing_spectral_weight():
@@ -181,7 +189,7 @@ def test_keldysh_map_refuses_vanishing_spectral_weight():
     c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
     q_grid = FrequencyGrid(0.0, 1e100, 2)
     with pytest.raises(ZeroSpectralWeightError):
-        occupation(1.0, 1e100, TOPO, c, WARM, n_k=256)
+        occupation(1.0, 1e100, c, WARM, photon_self_energy(1.0, TOPO, c, n_k=256))
     with pytest.raises(ZeroSpectralWeightError):
         keldysh_map(FrequencyGrid(0.8, 1.2, 3), q_grid, TOPO, c, WARM, n_k=256)
 

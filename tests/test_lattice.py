@@ -78,9 +78,9 @@ def test_bloch_phase_reference_points():
 
 def test_zak_phase_quantization():
     for r in (0.25, 0.5, 0.75):
-        assert abs(zak_phase(SshParams(1.0, r))) < 1e-6 * 2.0 * np.pi
+        assert abs(zak_phase(SshParams(1.0, r), n_k=1024)) < 1e-6 * 2.0 * np.pi
     for r in (1.25, 1.5, 2.0):
-        phase = zak_phase(SshParams(1.0, r))
+        phase = zak_phase(SshParams(1.0, r), n_k=1024)
         assert abs(phase - np.pi) < 1e-6 * 2.0 * np.pi
 
 
@@ -104,7 +104,7 @@ def test_zak_phase_wrap_stays_on_quantized_branch():
 
 def test_zak_phase_rejects_critical_chain():
     with pytest.raises(CriticalPointError):
-        zak_phase(SshParams(1.0, 1.0))
+        zak_phase(SshParams(1.0, 1.0), n_k=1024)
 
 
 def test_band_edge_reference_config():

@@ -1,5 +1,7 @@
 """The package's public names: one table, each module imported on first use."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -66,3 +68,28 @@ def test_cli_module_entry_reports_the_version():
     result = run_python("-m", "cavityssh.cli", "--version")
     assert result.returncode == 0, result.stderr
     assert cavityssh.__version__ in result.stdout
+
+
+def test_no_library_callable_defaults_a_zone_size():
+    """Every zone size comes from the caller; only config holds the CLI
+    defaults. principal_value's n_k counts Simpson nodes, not a zone."""
+    with_n_k, defaulted = set(), []
+    for module_name in ("cavity", "keldysh", "kerr", "vertex", "lattice", "numerics"):
+        module = importlib.import_module(f"cavityssh.{module_name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            callables = {name: obj}
+            if inspect.isclass(obj):
+                callables.update((f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                                 if inspect.isfunction(member) and not attr.startswith("_"))
+            for qualname, fn in callables.items():
+                if not callable(fn) or qualname == "principal_value":
+                    continue
+                n_k = inspect.signature(fn).parameters.get("n_k")
+                if n_k is not None:
+                    with_n_k.add(qualname)
+                    if n_k.default is not inspect.Parameter.empty:
+                        defaulted.append(f"{module_name}.{qualname}")
+    assert {"BubbleTable", "bz_integrate", "gamma4_direct", "kerr_scan", "zak_phase"} <= with_n_k
+    assert defaulted == []
