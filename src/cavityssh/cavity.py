@@ -42,9 +42,9 @@ class BubbleTable:
 
     Holds the trapezoid nodes, the gap Delta(k) and the weighted |mu(k)|^2 at
     each node; the self-energy, the Kerr ladder and the vertex all sum over it.
-    It is bz_integrate's zone (`zone_trapezoid`) with the same pairwise
-    summation order; the weight multiplies |mu|^2 before the division, so a
-    sum agrees with bz_integrate of the same integrand up to rounding.
+    The zone is `zone_trapezoid`'s, summed pairwise; the weight multiplies
+    |mu|^2 before the division, so a sum agrees with the plain weighted
+    trapezoid of the same integrand up to rounding, not bit for bit.
 
     `samples` returns a fresh array the caller may keep. `integral` writes
     the samples and the pairwise rounds into scratch arrays that the table
@@ -106,20 +106,11 @@ class BubbleTable:
         return complex(total / (2.0 * np.pi))
 
 
-def photon_self_energy(omega: float, p: SshParams, c: CavityParams, n_k: int) -> complex:
-    """Retarded photon self-energy g^2 (1/2pi) int dk |mu|^2/(omega - Delta + i eta).
-
-    Builds a one-shot zone; a caller that evaluates many omega should hold a
-    BubbleTable (or use self_energy_spectrum).
-    """
-    return c.g**2 * BubbleTable(p, c.eta, n_k).integral(omega)
-
-
 def self_energy_spectrum(
     grid: FrequencyGrid, p: SshParams, c: CavityParams, n_k: int
 ) -> np.ndarray:
-    """Sigma^R at each frequency of the grid, from one zone table; each value
-    is the photon_self_energy of its frequency, bit for bit."""
+    """Retarded photon self-energy g^2 (1/2pi) int dk |mu|^2/(omega - Delta + i eta)
+    at each frequency of the grid, all from one zone table."""
     table = BubbleTable(p, c.eta, n_k)
     sweep = (c.g**2 * table.integral(omega) for omega in grid.values)
     return np.fromiter(sweep, dtype=complex, count=grid.count)
@@ -129,11 +120,6 @@ def dressed_propagator(omega: float, q: float, c: CavityParams, sigma: complex) 
     """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta),
     with Sigma^R = `sigma` the self-energy at omega."""
     return 1.0 / (omega - c.omega_c - c.mass_beta * q * q - sigma + 1j * c.eta)
-
-
-def spectral_function(omega: float, q: float, c: CavityParams, sigma: complex) -> float:
-    """A(omega, q) = -(1/pi) Im G^R_cav; nonnegative by construction."""
-    return -dressed_propagator(omega, q, c, sigma).imag / np.pi
 
 
 def spectral_map(

@@ -29,7 +29,8 @@ class Command(NamedTuple):
     from below; None bounds nothing. `arrays` lists the complex arrays the
     command allocates, each as the size keys of its axes: a zone of n_k + 1
     cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), a value
-    per omega, an omega x omega or omega x q map, a k sweep (params.n_points)."""
+    per omega, an omega x omega or omega x q map, a k sweep (params.n_points),
+    the Kerr ladder of n_max + 1 rungs (params.n_max)."""
 
     help: str
     reads: tuple[str, ...]
@@ -70,7 +71,7 @@ COMMANDS = {
     "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
                          {"r_values": ("number_list", None, (">=", 0)),
                           "n_max": ("int", 5, (">=", 2))},
-                         (_ZONE,)),
+                         (_ZONE, ("params.n_max",))),
     "vertex": Command("direct four-photon vertex on a frequency square",
                       ("cavity", "kernel", "omega"), {},
                       (("grids.n_k2d", "grids.n_k2d"), _OMEGA_SQUARE)),
@@ -283,7 +284,8 @@ def parse_config(document: dict, command: str) -> RunConfig:
     sides = {"grids.n_k": n_k + 1, "grids.n_k2d": n_k2d + 1,
              "grids.omega.count": omega_grid.count if omega_grid else None,
              "grids.q.count": q_grid.count if q_grid else None,
-             "params.n_points": params.get("n_points")}
+             "params.n_points": params.get("n_points"),
+             "params.n_max": params["n_max"] + 1 if "n_max" in params else None}
     for axes in spec.arrays:
         shape = [sides[key] for key in axes]
         nbytes = 16 * math.prod(shape)

@@ -41,10 +41,6 @@ class NonFiniteEntryError(CavitySshError):
     """A matrix handed to a decomposition contains nan or inf."""
 
 
-class PoleOnBoundaryError(CavitySshError):
-    """Principal-value pole coincides with an integration endpoint."""
-
-
 class NonPositiveFrequencyError(CavitySshError):
     """Bose factor requested at omega <= 0."""
 

@@ -10,6 +10,9 @@ and the occupation is read back from the G^K / Im G^R ratio. The bare +i eta
 regulator is a zero-occupation spectator channel: it carries vacuum Keldysh
 noise 2 i eta |G^R|^2 (no thermal factor), so the ratio returns exactly 0 at
 T = 0 and approaches n_B from below as eta -> 0.
+
+`keldysh_map` evaluates G^K, A and n on an (omega, q) grid from the private
+per-point formulas below.
 """
 
 from __future__ import annotations
@@ -81,31 +84,6 @@ def _occupation_from(g_r: complex, g_k, eta: float, omega: float, q: float):
     return 0.5 * (ratio - 1.0)
 
 
-def keldysh_green(
-    omega: float, q: float, c: CavityParams, th: ThermalState, sigma: complex
-) -> complex:
-    """G^K = G^R Sigma^K G^A = |G^R|^2 Sigma^K, with Sigma^R = `sigma` the
-    self-energy at omega; purely imaginary, Im >= 0."""
-    g_r = dressed_propagator(omega, q, c, sigma)
-    return _green_keldysh(g_r, _sigma_keldysh(sigma, bose_occupation(omega, th)))
-
-
-def occupation(
-    omega: float, q: float, c: CavityParams, th: ThermalState, sigma: complex
-) -> float:
-    """Mode occupation n(omega) = (1/2) (G^K_tot / (-2i Im G^R) - 1), with
-    Sigma^R = `sigma` the self-energy at omega.
-
-    G^K_tot includes the regulator's vacuum noise 2 i eta |G^R|^2 alongside the
-    bath term, which makes the ratio a weight average of the bath occupation
-    n_B (weight |Im Sigma^R|) and the spectator's zero (weight eta):
-    exact 0 at T = 0, and n_B (1 - eta/(eta + |Im Sigma^R|)) in equilibrium.
-    """
-    g_r = dressed_propagator(omega, q, c, sigma)
-    g_k = _green_keldysh(g_r, _sigma_keldysh(sigma, bose_occupation(omega, th)))
-    return _occupation_from(g_r, g_k, c.eta, omega, q)
-
-
 def keldysh_map(
     omega_grid: FrequencyGrid,
     q_grid: FrequencyGrid,
@@ -114,11 +92,12 @@ def keldysh_map(
     th: ThermalState,
     n_k: int,
 ) -> KeldyshMap:
-    """G^K, A and n on the product grid, bit for bit the per-point functions.
+    """G^K, A and n on the product grid.
 
     Per omega: Sigma^R from one `self_energy_spectrum`, one n_B and one
     Sigma^K; per (omega, q): one G^R, from which G^K, A = -Im G^R / pi and n
-    follow. Raises ZeroSpectralWeightError where Im G^R >= 0, like `occupation`.
+    follow. Raises ZeroSpectralWeightError where Im G^R >= 0, where the
+    occupation is undefined.
     """
     sigmas = self_energy_spectrum(omega_grid, p, c, n_k).tolist()
     qs = q_grid.values.tolist()

@@ -48,7 +48,6 @@ def solve_omega_sequence(
     n_max: int,
     table: BubbleTable,
     c: CavityParams,
-    tol: float = 1e-12,
     max_iter: int = 60,
     seed_integral: complex | None = None,
 ) -> np.ndarray:
@@ -84,7 +83,7 @@ def solve_omega_sequence(
         def df(z: complex) -> complex:
             return 1.0 + scale * table.integral(z, power=2)
 
-        seed = complex_newton(f, seed, tol=tol, max_iter=max_iter, df=df)
+        seed = complex_newton(f, seed, df, max_iter=max_iter)
         out[n] = seed
     return out
 
@@ -111,7 +110,6 @@ def kerr_scan(
     c: CavityParams,
     n_k: int,
     n_max: int = 5,
-    tol: float = 1e-12,
     max_iter: int = 60,
 ) -> list[KerrScanRow]:
     """Kerr fit vs closed form across hopping ratios, omega_c re-pinned per row.
@@ -127,11 +125,11 @@ def kerr_scan(
             raise CriticalPointError(
                 f"r = {r} inside the critical guard |r-1| < {CRITICAL_GUARD}"
             )
-    return [_scan_row(r, p, c, n_k, n_max, tol, max_iter) for r in r_values]
+    return [_scan_row(r, p, c, n_k, n_max, max_iter) for r in r_values]
 
 
 def _scan_row(
-    r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int, tol: float, max_iter: int
+    r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int, max_iter: int
 ) -> KerrScanRow:
     """One ratio of kerr_scan. Its zone table serves the closed form and the
     ladder and is released on return, before the next ratio builds its own."""
@@ -139,9 +137,9 @@ def _scan_row(
     c_r = replace(c, omega_c=p_r.edge_gap)
     table = BubbleTable(p_r, c_r.eta, n_k)
     at_omega_c = table.integral(c_r.omega_c)
-    u_closed = c_r.g**2 * at_omega_c  # photon_self_energy(omega_c) from this table
+    u_closed = c_r.g**2 * at_omega_c  # Sigma^R(omega_c) from this table
     try:
-        ladder = solve_omega_sequence(n_max, table, c_r, tol, max_iter, at_omega_c)
+        ladder = solve_omega_sequence(n_max, table, c_r, max_iter, at_omega_c)
     except NoConvergenceError:
         return KerrScanRow(r=r, result=None, u_closed=u_closed)
     return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed)

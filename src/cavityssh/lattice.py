@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalPointError, GaplessPointError
-from .numerics import MIN_NK
+from .numerics import zone_trapezoid
 
 GAPLESS_FLOOR = 1e-12
+CRITICAL_TOL = 1e-6  # |t2/t1 - 1| below which the Zak phase and edge expansion are undefined
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def bloch_phase(k, p: SshParams):
     return theta if theta.ndim else float(theta)
 
 
-def zak_phase(p: SshParams, n_k: int, critical_tol: float = 1e-6) -> float:
+def zak_phase(p: SshParams, n_k: int) -> float:
     """Valence-band Zak phase via a discretized Wilson loop: exactly 0.0 or pi.
 
     The valence eigenvector is (-e^{-i theta(k)}, 1)/sqrt(2), so the link
@@ -95,13 +96,11 @@ def zak_phase(p: SshParams, n_k: int, critical_tol: float = 1e-6) -> float:
     and therefore inside [0, 2pi). A float modulo of the raw sum would not:
     a round-off just below 0 wraps to 2pi - eps, or to 2pi itself.
     """
-    if n_k < MIN_NK:
-        raise ValueError(f"n_k must be >= {MIN_NK}, got {n_k}")
-    if abs(p.ratio - 1.0) < critical_tol:
+    k = zone_trapezoid(n_k)[0][:-1]  # the open periodic grid: pi is -pi again
+    if abs(p.ratio - 1.0) < CRITICAL_TOL:
         raise CriticalPointError(
-            f"ratio {p.ratio} within {critical_tol} of the gap closure; Zak phase undefined"
+            f"ratio {p.ratio} within {CRITICAL_TOL} of the gap closure; Zak phase undefined"
         )
-    k = -np.pi + 2.0 * np.pi * np.arange(n_k) / n_k
     theta = bloch_phase(k, p)
     phase_factor = np.exp(-1j * theta)
     # <u_j|u_{j+1}> for the valence doublet, with periodic wraparound.
@@ -110,20 +109,18 @@ def zak_phase(p: SshParams, n_k: int, critical_tol: float = 1e-6) -> float:
     return np.pi * (round(-total / np.pi) % 2)
 
 
-def band_edge_params(
-    p: SshParams, fd_step: float = 1e-4, critical_tol: float = 1e-6
-) -> BandEdgeParams:
+def band_edge_params(p: SshParams) -> BandEdgeParams:
     """Expansion Delta(pi + q) ~ delta0 + (1/2) curvature q^2, |mu| ~ dipole_slope |q|.
 
     Curvature from a central second difference of Delta at k = pi; the dipole
     slope from the central first difference of the signed mu (|mu| is even
     about pi, so differencing the magnitude directly would cancel).
     """
-    if abs(p.ratio - 1.0) < critical_tol:
+    if abs(p.ratio - 1.0) < CRITICAL_TOL:
         raise CriticalPointError(
-            f"ratio {p.ratio} within {critical_tol} of the gap closure; edge expansion undefined"
+            f"ratio {p.ratio} within {CRITICAL_TOL} of the gap closure; edge expansion undefined"
         )
-    h = fd_step
+    h = 1e-4
     gaps = band_gap(np.array([np.pi - h, np.pi, np.pi + h]), p)
     curvature = float((gaps[0] - 2.0 * gaps[1] + gaps[2]) / h**2)
     mus = dipole(np.array([np.pi - h, np.pi + h]), p)

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: grids, quadratures, root finding, fits.
+"""Shared numerical kernels: grids, the zone quadrature, root finding, fits, SVD.
 
 All reductions go through a fixed left-to-right pairwise scheme so results are
 bitwise reproducible regardless of how callers chunk their work.
@@ -11,13 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    NoConvergenceError,
-    NonFiniteEntryError,
-    NonFiniteSampleError,
-    PoleOnBoundaryError,
-)
+from .errors import DegenerateDesignError, NoConvergenceError, NonFiniteEntryError
 
 MIN_NK = 64
 
@@ -81,12 +75,6 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
     return a[0].copy() if a.ndim > 1 else a[0]
 
 
-def _check_finite_samples(samples: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(samples)):
-        bad = int(np.flatnonzero(~np.isfinite(np.asarray(samples).ravel()))[0])
-        raise NonFiniteSampleError(f"{what}: non-finite sample at flat index {bad}")
-
-
 def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n_k-interval trapezoid rule on the zone [-pi, pi].
 
@@ -101,85 +89,6 @@ def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.full(n_k + 1, h)
     weights[0] = weights[-1] = 0.5 * h
     return nodes, weights
-
-
-def bz_integrate(f: Callable[[np.ndarray], np.ndarray], n_k: int):
-    """(1/2pi) * trapezoid of f over the periodic zone [-pi, pi].
-
-    `f` must accept an ndarray of momenta. Exact for constants; spectrally
-    accurate for smooth periodic integrands.
-    """
-    nodes, weights = zone_trapezoid(n_k)
-    samples = np.asarray(f(nodes))
-    _check_finite_samples(samples, "bz_integrate")
-    return pairwise_sum(samples * weights) / (2.0 * np.pi)
-
-
-def simpson_integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int):
-    """Composite Simpson rule on [a, b] with n subintervals (rounded up to even)."""
-    if not b > a:
-        raise ValueError(f"simpson_integrate needs b > a, got [{a}, {b}]")
-    n = max(2, n + (n % 2))
-    nodes = np.linspace(a, b, n + 1)
-    samples = np.asarray(f(nodes))
-    _check_finite_samples(samples, "simpson_integrate")
-    h = (b - a) / n
-    weights = np.full(n + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return pairwise_sum(samples * weights) * h / 3.0
-
-
-def principal_value(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    pole: float,
-    n_k: int = 4096,
-):
-    """Cauchy principal value of int_a^b f(x)/(x - pole) dx.
-
-    Inside the range the pole is handled by symmetric exclusion: on the
-    largest subinterval symmetric about the pole the odd 1/(x - pole) part
-    cancels pairwise, leaving the smooth difference quotient
-    (f(pole+u) - f(pole-u))/u, which is integrated with Simpson; the excluded
-    point shrinks with the grid. A pole outside [a, b] degrades to plain
-    quadrature.
-    """
-    if not b > a:
-        raise ValueError(f"principal_value needs b > a, got [{a}, {b}]")
-    span = b - a
-    if min(abs(pole - a), abs(pole - b)) < 1e-9 * span:
-        raise PoleOnBoundaryError(f"pole {pole} sits on an integration endpoint")
-
-    def plain(lo: float, hi: float):
-        return simpson_integrate(lambda x: np.asarray(f(x)) / (x - pole), lo, hi, n_k)
-
-    if pole < a or pole > b:
-        return plain(a, b)
-
-    radius = min(pole - a, b - pole)
-
-    def difference_quotient(u: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape, dtype=np.result_type(np.asarray(f(np.array([pole + radius]))).dtype, float))
-        small = u < 1e-12 * radius
-        if np.any(~small):
-            uu = u[~small]
-            out[~small] = (np.asarray(f(pole + uu)) - np.asarray(f(pole - uu))) / uu
-        if np.any(small):
-            d = 1e-7 * radius
-            out[small] = (np.asarray(f(np.array([pole + d])))[0] - np.asarray(f(np.array([pole - d])))[0]) / d
-        return out
-
-    symmetric = simpson_integrate(difference_quotient, 0.0, radius, n_k)
-    if pole - a > radius:
-        rest = plain(a, pole - radius)
-    elif b - pole > radius:
-        rest = plain(pole + radius, b)
-    else:
-        rest = 0.0
-    return symmetric + rest
 
 
 def complex_newton(

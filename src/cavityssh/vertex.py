@@ -43,27 +43,6 @@ def _kernel_matrix(nodes: np.ndarray, kern: InteractionKernel) -> np.ndarray:
     return kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
 
 
-def gamma4_direct(
-    omega1: float,
-    omega2: float,
-    p: SshParams,
-    c: CavityParams,
-    kern: InteractionKernel,
-    n_k: int,
-) -> complex:
-    """Double-trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2.
-
-    Arguments are ordered canonically before evaluating, so the omega1 <->
-    omega2 symmetry holds bit for bit. This pointwise form is the reference
-    for gamma4_direct_grid.
-    """
-    a, b = (omega1, omega2) if omega1 <= omega2 else (omega2, omega1)
-    table = BubbleTable(p, c.eta, n_k)
-    v = _kernel_matrix(table.nodes, kern)
-    inner = pairwise_sum(v * table.samples(b)[None, :], axis=1)
-    return complex(pairwise_sum(table.samples(a) * inner) / (2.0 * np.pi) ** 2)
-
-
 def gamma4_direct_grid(
     omegas: np.ndarray,
     p: SshParams,
@@ -71,12 +50,13 @@ def gamma4_direct_grid(
     kern: InteractionKernel,
     n_k: int,
 ) -> np.ndarray:
-    """gamma4_direct on the square grid omegas x omegas (one zone, one kernel build).
+    """Double trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2
+    on the square grid omegas x omegas (one zone, one kernel build).
 
     Column k of the inner sums is one pairwise sum over k' of
-    v[k, k'] b_i[k'] for every omega_i at once, the products of gamma4_direct
-    in the same operand order; pairwise_sum brackets each row as it brackets
-    a single vector, so the entries equal the per-pair sums bit for bit. No
+    v[k, k'] b_i[k'] for every omega_i at once, kernel first in each product;
+    pairwise_sum brackets each row as it brackets a single vector, so each
+    entry equals the double sum of its pair alone, bit for bit. No
     zone-squared product is ever formed: the largest temporary is one
     omega-by-zone product.
     """
@@ -120,7 +100,7 @@ def gamma4_stationary(
     A^4 v0 (q1* q2*)^2 exp(-zeta (q1* - q2*)^2) sqrt(2pi/zeta)
         / ((omega1 - delta0 + i eta)(omega2 - delta0 + i eta)).
 
-    Only the shape is meaningful relative to gamma4_direct (the absolute
+    Only the shape is meaningful relative to gamma4_direct_grid (the absolute
     normalization of the saddle measure is not pinned); zeta = 0 has no
     stationary width and is rejected.
     """

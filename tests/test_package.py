@@ -72,7 +72,7 @@ def test_cli_module_entry_reports_the_version():
 
 def test_no_library_callable_defaults_a_zone_size():
     """Every zone size comes from the caller; only config holds the CLI
-    defaults. principal_value's n_k counts Simpson nodes, not a zone."""
+    defaults."""
     with_n_k, defaulted = set(), []
     for module_name in ("cavity", "keldysh", "kerr", "vertex", "lattice", "numerics"):
         module = importlib.import_module(f"cavityssh.{module_name}")
@@ -84,12 +84,13 @@ def test_no_library_callable_defaults_a_zone_size():
                 callables.update((f"{name}.{attr}", member) for attr, member in vars(obj).items()
                                  if inspect.isfunction(member) and not attr.startswith("_"))
             for qualname, fn in callables.items():
-                if not callable(fn) or qualname == "principal_value":
+                if not callable(fn):
                     continue
                 n_k = inspect.signature(fn).parameters.get("n_k")
                 if n_k is not None:
                     with_n_k.add(qualname)
                     if n_k.default is not inspect.Parameter.empty:
                         defaulted.append(f"{module_name}.{qualname}")
-    assert {"BubbleTable", "bz_integrate", "gamma4_direct", "kerr_scan", "zak_phase"} <= with_n_k
+    assert {"BubbleTable", "self_energy_spectrum", "gamma4_direct_grid", "kerr_scan",
+            "zak_phase"} <= with_n_k
     assert defaulted == []

@@ -12,13 +12,13 @@ from cavityssh import (
     SshParams,
     ZeroRangeError,
     band_edge_params,
-    gamma4_direct,
     gamma4_direct_grid,
     gamma4_stationary,
     pairwise_sum,
     saddle_points,
 )
 from cavityssh.vertex import _kernel_matrix
+from reference import gamma4_direct
 
 TRIVIAL = SshParams(1.0, 0.5)  # Delta0 = 1
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
