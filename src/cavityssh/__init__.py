@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "lattice": (
         "SshParams", "BandEdgeParams", "band_gap", "band_energies", "dipole",
-        "bloch_phase", "zak_phase", "band_edge_params",
+        "bloch_phase", "zak_phase", "band_edge_params", "edge_momentum_map",
     ),
     "cavity": (
         "CavityParams", "BubbleTable", "self_energy_spectrum", "dressed_propagator",
@@ -25,16 +25,14 @@ _EXPORTS = {
         "KerrResult", "KerrScanRow", "solve_omega_sequence", "kerr_from_fit", "kerr_scan",
     ),
     "vertex": (
-        "InteractionKernel", "SaddleSolution", "gamma4_direct_grid", "saddle_points",
-        "gamma4_stationary",
+        "InteractionKernel", "gamma4_direct_grid", "gamma4_stationary",
     ),
     "biphoton": (
         "BiphotonState", "SchmidtSpectrum", "EntropyScanRow", "input_state",
-        "apply_vertex", "schmidt_decompose", "edge_momentum_map", "scattered_pair",
-        "entropy_scan",
+        "apply_vertex", "schmidt_decompose", "scattered_pair", "entropy_scan",
     ),
     "dressing": (
-        "bare_photon_green", "DressedBandSweep", "dressed_band_sweep",
+        "DressedBandSweep", "dressed_band_sweep",
     ),
     "numerics": (
         "FrequencyGrid", "pairwise_sum", "zone_trapezoid", "complex_newton",

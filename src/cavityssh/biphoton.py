@@ -2,6 +2,8 @@
 
 The emitted pair amplitude is the vertex sampled on a frequency grid times a
 separable Gaussian pump, psi_out = Gamma(omega1, omega2) phi(omega1) phi(omega2).
+The vertex is the interaction kernel of `vertex` evaluated on the band-edge
+momenta q*(omega) of `lattice.edge_momentum_map`.
 Schmidt modes come from the SVD of the amplitude with the grid measure
 absorbed, so coefficients and entropies are resolution-independent.
 """
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooNarrowError, ZeroNormError
-from .lattice import BandEdgeParams
+from .lattice import BandEdgeParams, edge_momentum_map
 from .numerics import FrequencyGrid, pairwise_sum, svd_singular_values
+from .vertex import InteractionKernel, _kernel_matrix
 
 PUMP_SPAN_SIGMAS = 4.0
 
@@ -111,16 +114,10 @@ def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
     )
 
 
-def edge_momentum_map(omegas: np.ndarray, edge: BandEdgeParams) -> np.ndarray:
-    """q*(omega) = sqrt(2 (omega - delta0)/curvature), clamped to 0 below edge."""
-    radicand = 2.0 * (np.asarray(omegas, dtype=float) - edge.delta0) / edge.curvature
-    return np.sqrt(np.clip(radicand, 0.0, None))
-
-
 def scattered_pair(
-    pump: BiphotonState, zeta: float, edge: BandEdgeParams, v0: float = 1.0
+    pump: BiphotonState, kern: InteractionKernel, edge: BandEdgeParams
 ) -> tuple[BiphotonState, EntropyScanRow]:
-    """Output state for one kernel range and its Schmidt summary.
+    """Output state for one kernel and its Schmidt summary.
 
     The vertex is modeled as v0 exp(-zeta (q*(w1) - q*(w2))^2) in the
     band-edge momentum coordinates (frequencies below the edge map to q* = 0,
@@ -128,16 +125,13 @@ def scattered_pair(
     spectrum is summarized by a log-linear fit of the leading four weights:
     reported ratio exp(slope) and its R^2.
     """
-    zeta = float(zeta)
-    if zeta < 0:
-        raise ValueError(f"zeta must be >= 0, got {zeta}")
-    qstar = edge_momentum_map(pump.grid.values, edge)
-    out = apply_vertex(pump, v0 * np.exp(-zeta * (qstar[:, None] - qstar[None, :]) ** 2))
+    vertex = _kernel_matrix(edge_momentum_map(pump.grid.values, edge), kern)
+    out = apply_vertex(pump, vertex)
     spectrum = schmidt_decompose(out)
     leading = tuple(float(x) for x in spectrum.coefficients[:4])
     ratio_fit, fit_r2 = _geometric_fit(np.asarray(leading))
     row = EntropyScanRow(
-        zeta=zeta,
+        zeta=float(kern.zeta),
         entropy_nats=spectrum.entropy_nats,
         entropy_bits=spectrum.entropy_bits,
         leading=leading,
@@ -158,7 +152,7 @@ def entropy_scan(
     """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel:
     one `scattered_pair` row per zeta, all from the same Gaussian pump."""
     pump = input_state(grid, omega0, sigma)
-    return [scattered_pair(pump, zeta, edge, v0)[1] for zeta in zeta_values]
+    return [scattered_pair(pump, InteractionKernel(v0, zeta), edge)[1] for zeta in zeta_values]
 
 
 def _geometric_fit(leading: np.ndarray) -> tuple[float, float]:

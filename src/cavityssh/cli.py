@@ -166,9 +166,7 @@ def _scan_columns(rows):
 def _run_biphoton(cfg: RunConfig, log):
     grid = cfg.omega_grid
     pump = input_state(grid, cfg.params["omega0"], cfg.params["sigma"])
-    out, row = scattered_pair(
-        pump, cfg.kernel.zeta, band_edge_params(cfg.model), v0=cfg.kernel.v0
-    )
+    out, row = scattered_pair(pump, cfg.kernel, band_edge_params(cfg.model))
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     # a matrix is written row by row, so its columns are the rows of its transpose
     emissions = [

@@ -29,8 +29,8 @@ class Command(NamedTuple):
     from below; None bounds nothing. `arrays` lists the complex arrays the
     command allocates, each as the size keys of its axes: a zone of n_k + 1
     cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), a value
-    per omega, an omega x omega or omega x q map, a k sweep (params.n_points),
-    the Kerr ladder of n_max + 1 rungs (params.n_max)."""
+    per omega or per q, an omega x omega or omega x q map, a k sweep
+    (params.n_points), the Kerr ladder of n_max + 1 rungs (params.n_max)."""
 
     help: str
     reads: tuple[str, ...]
@@ -49,6 +49,7 @@ MAX_ARRAY_BYTES = 1 << 30
 
 _ZONE = ("grids.n_k",)
 _OMEGA = ("grids.omega.count",)
+_Q = ("grids.q.count",)
 _OMEGA_SQUARE = ("grids.omega.count", "grids.omega.count")
 _OMEGA_Q = ("grids.omega.count", "grids.q.count")
 _SWEEP = ("params.n_points",)
@@ -67,7 +68,8 @@ COMMANDS = {
                         (_ZONE, _OMEGA_Q)),
     "hopfield": Command("two-level reference polariton branches", ("cavity", "q"),
                         {"g": ("number", lambda model, cavity: cavity.g, None),
-                         "delta_pi": ("number", lambda model, cavity: model.edge_gap, None)}),
+                         "delta_pi": ("number", lambda model, cavity: model.edge_gap, None)},
+                        (_Q,)),
     "kerr-scan": Command("photon nonlinearity fit vs hopping ratio", ("cavity",),
                          {"r_values": ("number_list", None, (">=", 0)),
                           "n_max": ("int", 5, (">=", 2))},

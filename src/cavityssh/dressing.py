@@ -1,7 +1,8 @@
 """Electron-side dressing: band self-energies from the exchanged cavity photon.
 
 Single-mode second order: a carrier in one band virtually emits a photon and
-sits in the other band, Sigma^(band) = g^2 mu(k)^2 G_cav(omega - eps_other(k)).
+sits in the other band, Sigma^(band) = g^2 mu(k)^2 G_cav(omega - eps_other(k)),
+with G_cav the bare q = 0 mode of `cavity.dressed_propagator` (Sigma^R = 0).
 The 2x2 interband matrix is purely off-diagonal; its magnitude opens the
 dressed gap 2 sqrt((Delta/2)^2 + |Sigma_cv|^2). `dressed_band_sweep`
 evaluates Sigma_cv and the dressed bands at each k of a sweep.
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import CavityParams, dressed_propagator
 from .lattice import SshParams, band_gap, dipole
 
 
@@ -25,11 +26,6 @@ class DressedBandSweep(NamedTuple):
     sigma_cv: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
-
-
-def bare_photon_green(omega: float, c: CavityParams) -> complex:
-    """Dispersionless retarded cavity propagator 1/(omega - omega_c + i eta)."""
-    return 1.0 / (omega - c.omega_c + 1j * c.eta)
 
 
 def _dressed_radius(gap: float, sigma_cv: complex) -> float:
@@ -51,7 +47,7 @@ def dressed_band_sweep(
     omegas, sigmas, radii = [], [], []
     for gap, mu in zip(gaps, mus):
         w = 0.5 * gap if onshell else omega
-        sigma_cv = c.g**2 * mu * mu * bare_photon_green(w - gap, c)
+        sigma_cv = c.g**2 * mu * mu * dressed_propagator(w - gap, 0.0, c, 0.0)
         omegas.append(w)
         sigmas.append(sigma_cv)
         radii.append(_dressed_radius(gap, sigma_cv))

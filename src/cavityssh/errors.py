@@ -16,7 +16,8 @@ class GaplessPointError(CavitySshError):
 
 
 class CriticalPointError(CavitySshError):
-    """Hopping ratio too close to the critical point t2/t1 = 1."""
+    """Hopping ratio where an expansion is undefined: too close to the
+    critical point t2/t1 = 1, or with a band edge that is not curved upward."""
 
 
 class NonFiniteSampleError(CavitySshError):

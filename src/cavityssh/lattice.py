@@ -2,7 +2,7 @@
 
 The chain alternates hoppings t1 (intra-cell) and t2 (inter-cell). Everything
 downstream only needs the gap function, the dipole matrix element and the
-small-momentum expansion around the zone edge.
+small-momentum expansion around the zone edge, with its inverse q*(omega).
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ def band_edge_params(p: SshParams) -> BandEdgeParams:
 
     Curvature from a central second difference of Delta at k = pi; the dipole
     slope from the central first difference of the signed mu (|mu| is even
-    about pi, so differencing the magnitude directly would cancel).
+    about pi, so differencing the magnitude directly would cancel). A flat
+    edge (t2 = 0, or a difference that rounds to zero) has no band-edge
+    momentum q*(omega) and raises CriticalPointError.
     """
     if abs(p.ratio - 1.0) < CRITICAL_TOL:
         raise CriticalPointError(
@@ -123,6 +125,17 @@ def band_edge_params(p: SshParams) -> BandEdgeParams:
     h = 1e-4
     gaps = band_gap(np.array([np.pi - h, np.pi, np.pi + h]), p)
     curvature = float((gaps[0] - 2.0 * gaps[1] + gaps[2]) / h**2)
+    if not curvature > 0:
+        raise CriticalPointError(
+            f"ratio {p.ratio} gives band-edge curvature {curvature}; "
+            "edge expansion needs a positive curvature"
+        )
     mus = dipole(np.array([np.pi - h, np.pi + h]), p)
     dipole_slope = float(abs(mus[1] - mus[0]) / (2.0 * h))
     return BandEdgeParams(delta0=p.edge_gap, curvature=curvature, dipole_slope=dipole_slope)
+
+
+def edge_momentum_map(omegas: np.ndarray, edge: BandEdgeParams) -> np.ndarray:
+    """q*(omega) = sqrt(2 (omega - delta0)/curvature), clamped to 0 below edge."""
+    radicand = 2.0 * (np.asarray(omegas, dtype=float) - edge.delta0) / edge.curvature
+    return np.sqrt(np.clip(radicand, 0.0, None))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cavity import BubbleTable, CavityParams
 from .errors import BelowThresholdError, ZeroRangeError
-from .lattice import BandEdgeParams, SshParams
+from .lattice import BandEdgeParams, SshParams, edge_momentum_map
 from .numerics import pairwise_sum
 
 
@@ -31,15 +31,9 @@ class InteractionKernel:
             raise ValueError(f"zeta must be >= 0, got {self.zeta}")
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
-    """Band-edge stationary momenta for the two frequency arguments."""
-
-    q1: float
-    q2: float
-
-
 def _kernel_matrix(nodes: np.ndarray, kern: InteractionKernel) -> np.ndarray:
+    """v0 exp(-zeta (x - x')^2) on every pair of `nodes`: zone momenta here,
+    band-edge momenta q*(omega) in `biphoton`."""
     return kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
 
 
@@ -68,26 +62,6 @@ def gamma4_direct_grid(
     return np.stack([pairwise_sum(row * bvecs, axis=-1) / scale for row in inner])
 
 
-def saddle_points(omega1: float, omega2: float, edge: BandEdgeParams) -> SaddleSolution:
-    """Stationary momenta q*_i = sqrt(2 (omega_i - delta0)/curvature).
-
-    Raises BelowThresholdError (naming the offending argument) as soon as a
-    frequency sits below the band edge.
-    """
-    radicands = [
-        2.0 * (omega1 - edge.delta0) / edge.curvature,
-        2.0 * (omega2 - edge.delta0) / edge.curvature,
-    ]
-    below = [r < 0 for r in radicands]
-    if any(below):
-        which = "both" if all(below) else ("omega1" if below[0] else "omega2")
-        raise BelowThresholdError(
-            f"frequency below the band edge delta0 = {edge.delta0}", which=which
-        )
-    q1, q2 = (float(np.sqrt(r)) for r in radicands)
-    return SaddleSolution(q1=q1, q2=q2)
-
-
 def gamma4_stationary(
     omega1: float,
     omega2: float,
@@ -102,16 +76,23 @@ def gamma4_stationary(
 
     Only the shape is meaningful relative to gamma4_direct_grid (the absolute
     normalization of the saddle measure is not pinned); zeta = 0 has no
-    stationary width and is rejected.
+    stationary width and is rejected. A frequency below delta0 has no real
+    stationary momentum: BelowThresholdError names the offending argument.
     """
     if kern.zeta == 0:
         raise ZeroRangeError("stationary-phase form undefined for zeta = 0")
-    saddle = saddle_points(omega1, omega2, edge)
+    below = [omega1 < edge.delta0, omega2 < edge.delta0]
+    if any(below):
+        which = "both" if all(below) else ("omega1" if below[0] else "omega2")
+        raise BelowThresholdError(
+            f"frequency below the band edge delta0 = {edge.delta0}", which=which
+        )
+    q1, q2 = edge_momentum_map([omega1, omega2], edge).tolist()
     amplitude = (
         edge.dipole_slope**4
         * kern.v0
-        * (saddle.q1 * saddle.q2) ** 2
-        * np.exp(-kern.zeta * (saddle.q1 - saddle.q2) ** 2)
+        * (q1 * q2) ** 2
+        * np.exp(-kern.zeta * (q1 - q2) ** 2)
         * np.sqrt(2.0 * np.pi / kern.zeta)
     )
     denom = (omega1 - edge.delta0 + 1j * eta) * (omega2 - edge.delta0 + 1j * eta)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from cavityssh.cavity import BubbleTable, CavityParams, dressed_propagator
-from cavityssh.dressing import _dressed_radius, bare_photon_green
+from cavityssh.dressing import _dressed_radius
 from cavityssh.errors import CavitySshError, NonFiniteSampleError
 from cavityssh.keldysh import (
     ThermalState,
@@ -225,8 +225,8 @@ def sigma_matrix(k: float, omega: float, p: SshParams, c: CavityParams) -> Fermi
         omega=float(omega),
         sigma_cc=0j,
         sigma_vv=0j,
-        sigma_cv=weight * bare_photon_green(omega - gap, c),
-        sigma_vc=weight * bare_photon_green(omega + gap, c),
+        sigma_cv=weight * dressed_propagator(omega - gap, 0.0, c, 0.0),
+        sigma_vc=weight * dressed_propagator(omega + gap, 0.0, c, 0.0),
     )
 
 

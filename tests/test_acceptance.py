@@ -29,7 +29,6 @@ from cavityssh import (
     hopfield_branches,
     input_state,
     kerr_scan,
-    saddle_points,
     schmidt_decompose,
     self_energy_spectrum,
     spectral_map,
@@ -196,7 +195,7 @@ def test_criterion_06_vertex():
     for p in (TRIVIAL, TOPO):
         edge = band_edge_params(p)
         with pytest.raises(Exception) as info:
-            saddle_points(edge.delta0 - 0.1, edge.delta0 + 0.1, edge)
+            gamma4_stationary(edge.delta0 - 0.1, edge.delta0 + 0.1, kern, edge, eta=c.eta)
         assert type(info.value).__name__ == "BelowThresholdError"
 
         ratios = []

@@ -9,6 +9,7 @@ from cavityssh import (
     BiphotonState,
     FrequencyGrid,
     GridTooNarrowError,
+    InteractionKernel,
     SshParams,
     apply_vertex,
     band_edge_params,
@@ -153,6 +154,7 @@ def test_entropy_scan_grid_refinement_stable():
 def test_scan_rows_are_the_scattered_pair_rows():
     pump = input_state(GRID, **PUMP)
     rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, **PUMP)
-    assert rows == [scattered_pair(pump, zeta, EDGE)[1] for zeta in (0.0, 2.5)]
+    kernels = [InteractionKernel(1.0, zeta) for zeta in (0.0, 2.5)]
+    assert rows == [scattered_pair(pump, kern, EDGE)[1] for kern in kernels]
     with pytest.raises(ValueError):
-        scattered_pair(pump, -1.0, EDGE)
+        scattered_pair(pump, InteractionKernel(1.0, -1.0), EDGE)

@@ -298,6 +298,32 @@ def test_manifest_records_the_blas_idle_policy(tmp_path, numpy_first):
     }
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("saddle", {"kernel": {"zeta": 10.0}, "grids": {"omega": {
+        "start": 1.8, "stop": 2.3, "count": 6}}}),
+    ("biphoton", {"kernel": {"zeta": 1.7}, "grids": {"omega": {
+        "start": 1.5, "stop": 2.5, "count": 24}}, "params": {"omega0": 2.0, "sigma": 0.1}}),
+    ("schmidt-scan", {"grids": {"omega": {"start": 1.5, "stop": 2.5, "count": 24}},
+                      "params": {"omega0": 2.0, "sigma": 0.1, "zeta_values": [0.0, 2.0]}}),
+])
+def test_flat_band_edge_exits_3_without_a_traceback(tmp_path, command, doc):
+    """At t2 = 0 the gap is flat and q*(omega) does not exist: each band-edge
+    command fails cleanly, with no traceback or numpy warning on stderr."""
+    config = write_doc(tmp_path, {"model": {"t1": 1.0, "t2": 0.0}, **doc})
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "cavityssh.cli", command, "--config", config,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 3, result.stderr
+    assert read_manifest(tmp_path / "out")["error"]["type"] == "CriticalPointError"
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
 def test_bands_at_the_gap_closure_writes_its_csv(tmp_path):
     """t1 = t2 needs no cavity: the defaulted omega_c = 2|t1 - t2| = 0 is never
     built, and the dipole and Bloch phase read nan where the gap closes."""
@@ -482,7 +508,7 @@ def test_biphoton_csvs_equal_the_library_output(tmp_path):
     code, out_dir = run_cli(tmp_path, doc, "biphoton")
     assert code == 0
     grid, edge = FrequencyGrid(0.6, 1.4, 24), band_edge_params(SshParams(1.0, 0.5))
-    out, _ = scattered_pair(input_state(grid, 1.0, 0.1), 1.7, edge, v0=1.3)
+    out, _ = scattered_pair(input_state(grid, 1.0, 0.1), InteractionKernel(1.3, 1.7), edge)
     comment = "# |psi_out|^2 at zeta=1.7 on omega grid start=0.6 stop=1.4 count=24"
     expected = format_cell_csv(comment, (np.abs(out.amplitude) ** 2).tolist())
     assert (out_dir / "biphoton_out.csv").read_bytes() == expected
@@ -750,6 +776,8 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
      "grids.omega.count needs a 100000000-cell complex array (1.49 GiB), over the 1 GiB limit"),
     ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 10**8}},
      "params.n_max needs a 100000001-cell complex array (1.49 GiB), over the 1 GiB limit"),
+    ("hopfield", {"model": CHAIN, "grids": {"q": {"start": -1.0, "stop": 1.0, "count": 10**9}}},
+     "grids.q.count needs a 1000000000-cell complex array (14.9 GiB), over the 1 GiB limit"),
 ])
 def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)

@@ -9,8 +9,8 @@ from cavityssh import (
     SshParams,
     band_energies,
     band_gap,
-    bare_photon_green,
     dipole,
+    dressed_propagator,
     dressed_band_sweep,
 )
 from reference import (
@@ -27,7 +27,7 @@ CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.05, eta=1e-2)
 
 
 def test_bare_photon_green_resonance():
-    assert bare_photon_green(CAV.omega_c, CAV) == 1.0 / (1j * CAV.eta)
+    assert dressed_propagator(CAV.omega_c, 0.0, CAV, 0.0) == 1.0 / (1j * CAV.eta)
 
 
 def test_sigma_matrix_decoupled_limit():
@@ -59,8 +59,8 @@ def test_sigma_matrix_structure():
     gap = band_gap(0.8, TOPO)
     mu = dipole(0.8, TOPO)
     weight = CAV.g**2 * mu * mu
-    assert entry.sigma_cv == weight * bare_photon_green(0.3 - gap, CAV)
-    assert entry.sigma_vc == weight * bare_photon_green(0.3 + gap, CAV)
+    assert entry.sigma_cv == weight * dressed_propagator(0.3 - gap, 0.0, CAV, 0.0)
+    assert entry.sigma_vc == weight * dressed_propagator(0.3 + gap, 0.0, CAV, 0.0)
 
 
 def test_sigma_matrix_vanishes_at_zone_edge():

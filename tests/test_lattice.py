@@ -131,3 +131,11 @@ def test_band_edge_matches_analytic_forms():
 def test_band_edge_rejects_critical_chain():
     with pytest.raises(CriticalPointError):
         band_edge_params(SshParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("t2", [0.0, 1e-10, 1e8])
+def test_band_edge_rejects_a_flat_edge(t2):
+    """t2 = 0 has a flat gap; at the extreme ratios the second difference
+    rounds to zero. Neither has a band-edge momentum q*(omega)."""
+    with pytest.raises(CriticalPointError, match=r"ratio .* curvature 0\.0"):
+        band_edge_params(SshParams(1.0, t2))

@@ -12,10 +12,10 @@ from cavityssh import (
     SshParams,
     ZeroRangeError,
     band_edge_params,
+    edge_momentum_map,
     gamma4_direct_grid,
     gamma4_stationary,
     pairwise_sum,
-    saddle_points,
 )
 from cavityssh.vertex import _kernel_matrix
 from reference import gamma4_direct
@@ -104,21 +104,44 @@ def test_direct_vertex_grid_equals_the_per_pair_loop_bit_for_bit():
 
 
 def test_saddle_points_reference_values():
-    solution = saddle_points(EDGE.delta0, EDGE.delta0 + EDGE.curvature / 2.0, EDGE)
-    assert solution.q1 == 0.0
-    assert abs(solution.q2 - 1.0) < 1e-12
+    q1, q2 = edge_momentum_map([EDGE.delta0, EDGE.delta0 + EDGE.curvature / 2.0], EDGE)
+    assert q1 == 0.0
+    assert abs(q2 - 1.0) < 1e-12
 
 
 def test_saddle_points_threshold_errors_name_the_argument():
+    kern = InteractionKernel(1.0, 5.0)
     with pytest.raises(BelowThresholdError) as info:
-        saddle_points(0.5, 1.5, EDGE)
+        gamma4_stationary(0.5, 1.5, kern, EDGE, eta=1e-2)
     assert info.value.which == "omega1"
     with pytest.raises(BelowThresholdError) as info:
-        saddle_points(1.5, 0.5, EDGE)
+        gamma4_stationary(1.5, 0.5, kern, EDGE, eta=1e-2)
     assert info.value.which == "omega2"
     with pytest.raises(BelowThresholdError) as info:
-        saddle_points(0.5, 0.5, EDGE)
+        gamma4_stationary(0.5, 0.5, kern, EDGE, eta=1e-2)
     assert info.value.which == "both"
+
+
+ABOVE = EDGE.delta0 + 0.2
+BELOW = float(np.nextafter(EDGE.delta0, -np.inf))
+
+
+@pytest.mark.parametrize("omega1, omega2", [
+    (EDGE.delta0, ABOVE), (ABOVE, EDGE.delta0), (EDGE.delta0, EDGE.delta0),
+])
+def test_stationary_vertex_at_the_edge_is_zero(omega1, omega2):
+    # omega = delta0 is on the threshold, not below it: q* = 0 zeroes the vertex
+    value = gamma4_stationary(omega1, omega2, InteractionKernel(1.0, 5.0), EDGE, eta=1e-2)
+    assert value == 0
+
+
+@pytest.mark.parametrize("omega1, omega2, which", [
+    (BELOW, ABOVE, "omega1"), (ABOVE, BELOW, "omega2"), (BELOW, BELOW, "both"),
+])
+def test_stationary_vertex_one_ulp_below_the_edge_raises(omega1, omega2, which):
+    with pytest.raises(BelowThresholdError) as info:
+        gamma4_stationary(omega1, omega2, InteractionKernel(1.0, 5.0), EDGE, eta=1e-2)
+    assert info.value.which == which
 
 
 def test_stationary_vertex_zeta_scaling_at_equal_frequencies():
@@ -146,10 +169,10 @@ def gaussian_factor(omega1: float, omega2: float, zeta: float) -> float:
     momentum-mismatch Gaussian."""
     kern = InteractionKernel(1.0, zeta)
     value = abs(gamma4_stationary(omega1, omega2, kern, EDGE, eta=1e-2))
-    saddle = saddle_points(omega1, omega2, EDGE)
+    q1, q2 = edge_momentum_map([omega1, omega2], EDGE)
     strip = (
         EDGE.dipole_slope**4
-        * (saddle.q1 * saddle.q2) ** 2
+        * (q1 * q2) ** 2
         * np.sqrt(2.0 * np.pi / zeta)
         / abs((omega1 - EDGE.delta0 + 1e-2j) * (omega2 - EDGE.delta0 + 1e-2j))
     )
