@@ -10,22 +10,25 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "params": (
+        "SshParams", "CavityParams", "ThermalState", "InteractionKernel", "FrequencyGrid",
+    ),
     "lattice": (
-        "SshParams", "BandEdgeParams", "band_gap", "band_energies", "dipole",
+        "BandEdgeParams", "band_gap", "band_energies", "dipole",
         "bloch_phase", "zak_phase", "band_edge_params", "edge_momentum_map",
     ),
     "cavity": (
-        "CavityParams", "BubbleTable", "self_energy_spectrum", "dressed_propagator",
+        "BubbleTable", "self_energy_spectrum", "dressed_propagator",
         "spectral_map", "hopfield_branches",
     ),
     "keldysh": (
-        "ThermalState", "bose_occupation", "KeldyshMap", "keldysh_map",
+        "bose_occupation", "KeldyshMap", "keldysh_map",
     ),
     "kerr": (
         "KerrResult", "KerrScanRow", "solve_omega_sequence", "kerr_from_fit", "kerr_scan",
     ),
     "vertex": (
-        "InteractionKernel", "gamma4_direct_grid", "gamma4_stationary",
+        "gamma4_direct_grid", "gamma4_stationary",
     ),
     "biphoton": (
         "BiphotonState", "SchmidtSpectrum", "EntropyScanRow", "input_state",
@@ -35,7 +38,7 @@ _EXPORTS = {
         "DressedBandSweep", "dressed_band_sweep",
     ),
     "numerics": (
-        "FrequencyGrid", "pairwise_sum", "zone_trapezoid", "complex_newton",
+        "pairwise_sum", "zone_trapezoid", "complex_newton",
     ),
     "errors": (
         "CavitySshError", "GaplessPointError", "CriticalPointError",

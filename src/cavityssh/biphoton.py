@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import GridTooNarrowError, ZeroNormError
 from .lattice import BandEdgeParams, edge_momentum_map
-from .numerics import FrequencyGrid, pairwise_sum, svd_singular_values
-from .vertex import InteractionKernel, _kernel_matrix
+from .numerics import pairwise_sum, svd_singular_values
+from .params import FrequencyGrid, InteractionKernel
+from .vertex import _kernel_matrix
 
 PUMP_SPAN_SIGMAS = 4.0
 

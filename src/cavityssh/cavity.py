@@ -7,34 +7,12 @@ setting g = 1 recovers the bare-bubble normalization of the dressed spectra.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteSampleError
-from .lattice import SshParams, band_gap, dipole
-from .numerics import FrequencyGrid, pairwise_sum, zone_trapezoid
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """Cavity mode omega_c(q) = omega_c + mass_beta q^2, coupling g, linewidth eta."""
-
-    omega_c: float
-    mass_beta: float
-    g: float
-    eta: float
-
-    def __post_init__(self):
-        if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.mass_beta < 0:
-            raise ValueError(f"mass_beta must be >= 0, got {self.mass_beta}")
-        if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+from .lattice import band_gap, dipole
+from .numerics import pairwise_sum, zone_trapezoid
+from .params import CavityParams, FrequencyGrid, SshParams
 
 
 class BubbleTable:
@@ -47,10 +25,10 @@ class BubbleTable:
     trapezoid of the same integrand up to rounding, not bit for bit.
 
     `samples` returns a fresh array the caller may keep. `integral` writes
-    the samples and the pairwise rounds into scratch arrays that the table
-    keeps per thread (allocated on a thread's first call, freed with the
-    table or when the thread ends), so repeated integrals allocate no
-    zone-sized array and threads sharing one table never share a buffer.
+    the samples and the pairwise rounds into a scratch pair that the table
+    keeps, made on its first call, so repeated integrals allocate no
+    zone-sized array. A call that finds the pair in use by another thread
+    makes its own and keeps it too, so threads never share a buffer.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int):
@@ -58,7 +36,7 @@ class BubbleTable:
         self.eta = float(eta)
         self.delta = np.asarray(band_gap(self.nodes, p))
         self.weighted_mu2 = weights * np.asarray(dipole(self.nodes, p)) ** 2
-        self._scratch = threading.local()
+        self._scratch = []  # idle scratch pairs of `integral`
 
     def _weighted(self, omega: complex, power: int, out: np.ndarray) -> np.ndarray:
         """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` and return it.
@@ -94,15 +72,17 @@ class BubbleTable:
         samples are scanned only when the total is; NonFiniteSampleError is
         raised exactly when a sample is non-finite, as in `samples`.
         """
-        local = self._scratch
-        if not hasattr(local, "samples"):
+        try:  # list.pop is atomic, so overlapping calls never share a pair
+            samples, pair = self._scratch.pop()
+        except IndexError:  # the first call, or every pair is in use
             size = self.delta.size
-            local.samples = np.empty(size, dtype=complex)
-            local.pair = np.empty((2, (size + 1) // 2), dtype=complex)
-        samples = self._weighted(omega, power, local.samples)
-        total = pairwise_sum(samples, scratch=local.pair)
+            samples = np.empty(size, dtype=complex)
+            pair = np.empty((2, (size + 1) // 2), dtype=complex)
+        self._weighted(omega, power, samples)
+        total = pairwise_sum(samples, scratch=pair)
         if not np.isfinite(total) and not np.all(np.isfinite(samples)):
             raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        self._scratch.append((samples, pair))
         return complex(total / (2.0 * np.pi))
 
 

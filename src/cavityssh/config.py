@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .cavity import CavityParams
 from .errors import ConfigInvalidError
-from .keldysh import ThermalState
-from .lattice import SshParams
-from .numerics import MIN_NK, FrequencyGrid
-from .vertex import InteractionKernel
+from .params import (
+    MIN_NK, CavityParams, FrequencyGrid, InteractionKernel, SshParams, ThermalState,
+)
 
 
 class Command(NamedTuple):
@@ -46,6 +44,12 @@ DEFAULT_NK2D = 512
 # the largest complex array a run may allocate; a bigger grid exits 2 at parse
 # time instead of failing in compute
 MAX_ARRAY_BYTES = 1 << 30
+
+# the largest Kerr ladder a run may ask for, in zone-node rungs: ratios x
+# (n_max + 1) rungs x (n_k + 1) zone nodes. A rung costs a few zone sums, about
+# 5e-8 to 8e-8 s of CPU per node on one Xeon vCPU, so the budget is about a
+# minute; fig4 (10 x 6 x 65537) is 273 times under it
+MAX_LADDER_NODES = 1 << 30
 
 _ZONE = ("grids.n_k",)
 _OMEGA = ("grids.omega.count",)
@@ -296,6 +300,15 @@ def parse_config(document: dict, command: str) -> RunConfig:
             raise ConfigInvalidError(
                 f"{' x '.join(dict.fromkeys(axes))} needs a {cells} complex array "
                 f"({nbytes / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
+            )
+    if command == "kerr-scan":
+        ratios, rungs = len(params["r_values"]), params["n_max"] + 1
+        nodes = ratios * rungs * (n_k + 1)
+        if nodes > MAX_LADDER_NODES:
+            raise ConfigInvalidError(
+                f"params.n_max asks for {ratios} ratio(s) x {rungs} rungs x {n_k + 1} zone "
+                f"nodes = {nodes:.3g} ladder node-rungs, over the budget of "
+                f"{MAX_LADDER_NODES:.3g} (grids.n_k and params.r_values count too)"
             )
 
     return RunConfig(

@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, dressed_propagator
-from .lattice import SshParams, band_gap, dipole
+from .cavity import dressed_propagator
+from .lattice import band_gap, dipole
+from .params import CavityParams, SshParams
 
 
 class DressedBandSweep(NamedTuple):

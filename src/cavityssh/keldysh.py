@@ -17,28 +17,15 @@ per-point formulas below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, dressed_propagator, self_energy_spectrum
+from .cavity import dressed_propagator, self_energy_spectrum
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
-from .lattice import SshParams
-from .numerics import FrequencyGrid
+from .params import CavityParams, FrequencyGrid, SshParams, ThermalState
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this n_B underflows to 0 anyway
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Bath temperature in the band energy units; T = 0 means strict vacuum."""
-
-    temperature: float
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
 
 
 class KeldyshMap(NamedTuple):

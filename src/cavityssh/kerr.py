@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import BubbleTable, CavityParams
+from .cavity import BubbleTable
 from .errors import CriticalPointError, NoConvergenceError
-from .lattice import SshParams
 from .numerics import complex_newton, polyfit_quadratic
+from .params import CavityParams, SshParams
 
 CRITICAL_GUARD = 0.02
 

@@ -13,32 +13,10 @@ import numpy as np
 
 from .errors import CriticalPointError, GaplessPointError
 from .numerics import zone_trapezoid
+from .params import SshParams
 
 GAPLESS_FLOOR = 1e-12
 CRITICAL_TOL = 1e-6  # |t2/t1 - 1| below which the Zak phase and edge expansion are undefined
-
-
-@dataclass(frozen=True)
-class SshParams:
-    """Hopping pair; t1 sets the energy unit, r = t2/t1 the phase."""
-
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if not self.t1 > 0:
-            raise ValueError(f"t1 must be positive, got {self.t1}")
-        if self.t2 < 0:
-            raise ValueError(f"t2 must be >= 0, got {self.t2}")
-
-    @property
-    def ratio(self) -> float:
-        return self.t2 / self.t1
-
-    @property
-    def edge_gap(self) -> float:
-        """Direct gap 2|t1 - t2| at the zone edge k = pi."""
-        return 2.0 * abs(self.t1 - self.t2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: grids, the zone quadrature, root finding, fits, SVD.
+"""Shared numerical kernels: the zone quadrature, root finding, fits, SVD.
 
 All reductions go through a fixed left-to-right pairwise scheme so results are
 bitwise reproducible regardless of how callers chunk their work.
@@ -6,37 +6,12 @@ bitwise reproducible regardless of how callers chunk their work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDesignError, NoConvergenceError, NonFiniteEntryError
-
-MIN_NK = 64
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform closed grid of `count` samples on [start, stop]."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if not self.stop > self.start:
-            raise ValueError(f"grid needs stop > start, got [{self.start}, {self.stop}]")
-        if self.count < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {self.count}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-    @property
-    def spacing(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
+from .params import MIN_NK
 
 
 def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):

@@ -9,26 +9,13 @@ prefactor is deliberately not included here and is recorded with run outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cavity import BubbleTable, CavityParams
+from .cavity import BubbleTable
 from .errors import BelowThresholdError, ZeroRangeError
-from .lattice import BandEdgeParams, SshParams, edge_momentum_map
+from .lattice import BandEdgeParams, edge_momentum_map
 from .numerics import pairwise_sum
-
-
-@dataclass(frozen=True)
-class InteractionKernel:
-    """Gaussian momentum kernel v0 exp(-zeta (k - k')^2); zeta = 0 is zero-range."""
-
-    v0: float
-    zeta: float
-
-    def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError(f"zeta must be >= 0, got {self.zeta}")
+from .params import CavityParams, InteractionKernel, SshParams
 
 
 def _kernel_matrix(nodes: np.ndarray, kern: InteractionKernel) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The BLAS idle policy the CLI sets: in place before numpy loads, and never
 visible in an output byte.
 
-`cavityssh.cli` sets OPENBLAS_THREAD_TIMEOUT=4 unless the environment already
-has a value. OpenBLAS reads it once, when numpy loads the library, so each
-case here runs in a fresh interpreter with the variable set or cleared in
-its own environment only.
+`cavityssh.cli` sets OPENBLAS_THREAD_TIMEOUT=4 on import unless the environment
+already has a value. numpy loads only when a command runs, and OpenBLAS reads
+the variable once, when numpy loads the library, so each case here runs in a
+fresh interpreter with the variable set or cleared in its own environment
+only.
 """
 
 import json
@@ -30,8 +31,14 @@ def run_python(args, blas_timeout=None):
                           timeout=300, env=env)
 
 
+def write_config(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 # records the variable at the first lookup of numpy, then lets the normal
-# finders load it
+# finders load it; the CLI looks numpy up when it dispatches the command in argv
 PROBE = """
 import importlib.abc, os, sys
 seen = []
@@ -41,22 +48,21 @@ class Probe(importlib.abc.MetaPathFinder):
             seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
         return None
 sys.meta_path.insert(0, Probe())
-import cavityssh.cli
+from cavityssh.cli import main
+code = main(sys.argv[1:])
 print(seen)
+sys.exit(code)
 """
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "4"), ("9", "9")])
-def test_idle_policy_is_set_before_numpy_is_looked_up(preset, expected):
-    result = run_python(["-c", PROBE], blas_timeout=preset)
+def test_idle_policy_is_set_before_numpy_is_looked_up(tmp_path, preset, expected):
+    config = write_config(tmp_path, "zak.json", {"model": {"t1": 1.0, "t2": 1.5},
+                                                 "grids": {"n_k": 64}})
+    argv = ["zak", "--config", config, "--out", str(tmp_path / "out")]
+    result = run_python(["-c", PROBE, *argv], blas_timeout=preset)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == repr([expected])
-
-
-def write_config(tmp_path, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 BIPHOTON = {

@@ -38,7 +38,7 @@ from cavityssh import (
     scattered_pair,
     zak_phase,
 )
-from cavityssh import cli, config
+from cavityssh import config, handlers
 from cavityssh.cli import main
 from cavityssh.config import _SECTIONS, COMMANDS, RunConfig, parse_config
 from cavityssh.output import write_csv
@@ -607,7 +607,7 @@ def test_kerr_csv_equals_the_scan_rows_with_unconverged_ones(tmp_path, monkeypat
     """Two Newton steps converge the lower ratios at g = 0.05 but not the upper
     ones; an unconverged row prints nan fits and converged = 0."""
     limited = functools.partial(kerr_scan, max_iter=2)
-    monkeypatch.setattr(cli, "kerr_scan", limited)
+    monkeypatch.setattr(handlers, "kerr_scan", limited)
     doc = {
         "model": {"t1": 1.0, "t2": 0.5},
         "cavity": {"mass_beta": 0.5, "g": 0.05, "eta": 0.001},
@@ -700,7 +700,7 @@ def test_unexpected_handler_exception_exits_3(tmp_path, monkeypatch, capsys):
     def broken(cfg, log):
         raise RuntimeError("handler bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "bands", broken)
+    monkeypatch.setitem(handlers._HANDLERS, "bands", broken)
     code, out_dir = run_cli(tmp_path, BANDS_DOC, "bands")
     assert code == 3
     assert read_manifest(out_dir)["error"] == {"type": "RuntimeError", "message": "handler bug"}
@@ -778,12 +778,55 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
      "params.n_max needs a 100000001-cell complex array (1.49 GiB), over the 1 GiB limit"),
     ("hopfield", {"model": CHAIN, "grids": {"q": {"start": -1.0, "stop": 1.0, "count": 10**9}}},
      "grids.q.count needs a 1000000000-cell complex array (14.9 GiB), over the 1 GiB limit"),
+    # the rungs fit in 1 GiB, but the ladder's work is over its budget
+    ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 2**26 - 1}},
+     "params.n_max asks for 1 ratio(s) x 67108864 rungs x 4097 zone nodes = 2.75e+11 "
+     "ladder node-rungs, over the budget of 1.07e+09"),
 ])
 def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+LADDER_PROBE = """
+import json, sys, tracemalloc
+from cavityssh.config import parse_config
+from cavityssh.errors import ConfigInvalidError
+tracemalloc.start()
+try:
+    parse_config(json.loads(sys.argv[1]), "kerr-scan")
+    message = None
+except ConfigInvalidError as exc:
+    message = str(exc)
+print(json.dumps([message, tracemalloc.get_traced_memory()[1], "numpy" in sys.modules]))
+"""
+
+
+def test_an_unbounded_kerr_ladder_is_rejected_without_allocating_or_loading_numpy():
+    """n_max = 2^26 - 1 passes the 1 GiB array check but would run for hours."""
+    doc = {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 2**26 - 1}}
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", LADDER_PROBE, json.dumps(doc)],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    message, peak, numpy_loaded = json.loads(result.stdout)
+    assert message.startswith("params.n_max asks for 1 ratio(s) x 67108864 rungs")
+    assert peak < 1 << 20
+    assert numpy_loaded is False
+
+
+def test_the_ladder_budget_admits_exactly_2_to_the_30_node_rungs():
+    doc = {"model": CHAIN, "grids": {"n_k": 2**16 - 1},
+           "params": {"r_values": [0.5], "n_max": 2**14 - 1}}
+    assert parse_config(doc, "kerr-scan").params["n_max"] == 2**14 - 1
+    doc["params"]["r_values"] = [0.5, 0.6]
+    with pytest.raises(ConfigInvalidError, match=r"^params\.n_max asks for 2 ratio\(s\) x "
+                                                 r"16384 rungs x 65536 zone nodes"):
+        parse_config(doc, "kerr-scan")
 
 
 def test_the_memory_budget_admits_a_side_of_8192():
@@ -851,7 +894,7 @@ def test_every_command_is_wired(capsys):
         "bands", "zak", "self-energy", "spectrum", "hopfield", "kerr-scan",
         "vertex", "saddle", "biphoton", "schmidt-scan", "dressed-bands", "keldysh",
     }
-    assert set(cli._HANDLERS) == set(COMMANDS)
+    assert set(handlers._HANDLERS) == set(COMMANDS)
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0

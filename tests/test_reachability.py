@@ -15,7 +15,7 @@ import os
 import sys
 
 import cavityssh
-from cavityssh import cli
+from cavityssh import cli, handlers
 
 SRC = os.path.dirname(os.path.abspath(cavityssh.__file__))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
@@ -84,7 +84,7 @@ def defined_functions() -> dict:
 
 def test_every_source_function_runs_in_some_command(tmp_path):
     runs = list(seed0_configs())
-    assert {command for command, _ in runs} | set(SMALL) == set(cli._HANDLERS)
+    assert {command for command, _ in runs} | set(SMALL) == set(handlers._HANDLERS)
     runs += list(SMALL.items())
 
     started = set()

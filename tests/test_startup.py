@@ -1,0 +1,111 @@
+"""What loads when: the CLI front end and config validation import no numpy and
+no numerical module; a dispatched command loads every layer.
+
+Each case runs in a fresh interpreter, because the test process itself has
+long since imported numpy and every module.
+"""
+
+import glob
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cavityssh
+from cavityssh.config import COMMANDS
+from test_reachability import BENCH, SMALL, seed0_configs
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cavityssh.__file__)))
+CONFIGS = sorted(glob.glob(os.path.join(SRC, "..", "configs", "*.json")))
+
+# what `import cavityssh.cli` and `load_config` must not load
+NUMERICAL = ("numpy", "cavityssh.numerics", "cavityssh.lattice", "cavityssh.cavity",
+             "cavityssh.output")
+
+
+def run_python(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def traced_layers() -> tuple:
+    """The layer modules the benchmark's tracer looks up in sys.modules."""
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  os.path.join(BENCH, "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+VALIDATE = """
+import json, sys
+import cavityssh.cli
+from cavityssh.config import load_config
+for command, path in json.loads(sys.argv[1]):
+    load_config(path, command)
+print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))
+"""
+
+
+def test_cli_import_and_config_validation_load_no_numerical_module(tmp_path):
+    runs = [*seed0_configs(), *SMALL.items()]
+    assert {command for command, _ in runs} == set(COMMANDS)
+    jobs = []
+    for i, (command, config) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        jobs.append((command, str(path)))
+    for path in CONFIGS:
+        with open(path, encoding="utf-8") as handle:
+            jobs.append((json.load(handle)["command"], path))
+    assert len(jobs) == len(runs) + 4
+    result = run_python("-c", VALIDATE, json.dumps(jobs), json.dumps(NUMERICAL))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["zak", "--config", "{config}", "--out", "{out}"], 2),
+], ids=["help", "version", "config-error"])
+def test_cli_entry_exits_before_numpy_loads(tmp_path, argv, code):
+    """`python -m cavityssh.cli` under -X importtime, which names on stderr
+    every module the run imports."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 10}}))
+    out = tmp_path / "out"
+    argv = [arg.format(config=config, out=out) for arg in argv]
+    result = run_python("-X", "importtime", "-m", "cavityssh.cli", *argv)
+    assert result.returncode == code, result.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert "cavityssh.config" in imported
+    assert sorted(imported & set(NUMERICAL)) == []
+    if code == 2:
+        assert "config error: grids.n_k must be >= 64, got 10" in result.stderr
+        assert not out.exists()
+
+
+DISPATCH = """
+import json, sys
+from cavityssh import cli
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, sorted(set(json.loads(sys.argv[1])) - set(sys.modules))]))
+"""
+
+
+def test_a_dispatched_run_loads_every_traced_layer(tmp_path):
+    """`zak` reads only the lattice, yet its run loads every layer, so the
+    tracer finds each one in sys.modules after any first command."""
+    config = tmp_path / "zak.json"
+    config.write_text(json.dumps({"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}}))
+    layers = [f"cavityssh.{layer}" for layer in traced_layers()]
+    argv = ["zak", "--config", str(config), "--out", str(tmp_path / "out")]
+    result = run_python("-c", DISPATCH, json.dumps(layers), *argv)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, []]
