@@ -98,7 +98,7 @@ def self_energy_spectrum(
 
 def dressed_propagator(omega: float, q: float, c: CavityParams, sigma: complex) -> complex:
     """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta),
-    with Sigma^R = `sigma` the self-energy at omega."""
+    with Sigma^R = `sigma` the self-energy at omega; elementwise on arrays."""
     return 1.0 / (omega - c.omega_c - c.mass_beta * q * q - sigma + 1j * c.eta)
 
 
@@ -113,9 +113,7 @@ def spectral_map(
     is computed once per omega and reused across q."""
     sigma = self_energy_spectrum(omega_grid, p, c, n_k)
     w, q = omega_grid.values, q_grid.values
-    return -np.imag(
-        1.0 / (w[:, None] - c.omega_c - c.mass_beta * q * q - sigma[:, None] + 1j * c.eta)
-    ) / np.pi
+    return -np.imag(dressed_propagator(w[:, None], q, c, sigma[:, None])) / np.pi
 
 
 def hopfield_branches(q, g: float, beta: float, delta_pi: float):

@@ -20,14 +20,15 @@ from .params import (
 
 class Command(NamedTuple):
     """One CLI command: its help line, the optional sections (cavity, kernel,
-    thermal) and grids (omega, q) it reads, and its params schema
-    key -> (kind, default, minimum). A None default means required; a
-    callable default is derived from the parsed (model, cavity). A minimum
-    (">=", m) or (">", m) bounds the value, or each entry of a number_list,
-    from below; None bounds nothing. `arrays` lists the complex arrays the
+    thermal) and grids (omega, q) it reads, its params schema, and `arrays`.
+    Every section of a config is read through a schema of this shape: key ->
+    (kind, default, minimum), kind number, int, bool, number_list or grid. A
+    None default means required; a callable one is derived from the parsed
+    (model, cavity). A minimum (">=", m) or (">", m) bounds the value, or each
+    entry of a number_list, from below. `arrays` lists the complex arrays the
     command allocates, each as the size keys of its axes: a zone of n_k + 1
-    cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), a value
-    per omega or per q, an omega x omega or omega x q map, a k sweep
+    cells (grids.n_k), the zone-squared kernel (grids.n_k2d twice), a value per
+    omega or per q, an omega x omega or omega x q map, a k sweep
     (params.n_points), the Kerr ladder of n_max + 1 rungs (params.n_max)."""
 
     help: str
@@ -98,15 +99,27 @@ COMMANDS = {
                        ("cavity", "thermal", "omega", "q"), {}, (_ZONE, _OMEGA_Q)),
 }
 
-# the optional physics sections: record type and key -> default, a callable
-# default derived from the model. Every section present is key-checked, but
-# only those a command reads are built, so the others' defaults cannot fail
+_MODEL = {"t1": ("number", None, None), "t2": ("number", None, None)}
+
+# the optional physics sections: record type and schema. Every section present
+# is key-checked, but only those a command reads are built, so the others'
+# defaults cannot fail
 _SECTIONS = {
-    "cavity": (CavityParams, {"omega_c": lambda model: model.edge_gap, "mass_beta": 0.5,
-                              "g": 1.0, "eta": 0.01}),
-    "kernel": (InteractionKernel, {"v0": 1.0, "zeta": 0.0}),
-    "thermal": (ThermalState, {"temperature": 0.0}),
+    "cavity": (CavityParams, {"omega_c": ("number", lambda model, cavity: model.edge_gap, None),
+                              "mass_beta": ("number", 0.5, None), "g": ("number", 1.0, None),
+                              "eta": ("number", 0.01, None)}),
+    "kernel": (InteractionKernel, {"v0": ("number", 1.0, None), "zeta": ("number", 0.0, None)}),
+    "thermal": (ThermalState, {"temperature": ("number", 0.0, None)}),
 }
+
+# an absent frequency or momentum grid reads as None; a command that reads it
+# checks that it is there
+_GRID = {"start": ("number", None, None), "stop": ("number", None, None),
+         "count": ("int", None, None)}
+_GRIDS = {"n_k": ("int", DEFAULT_NK, (">=", MIN_NK)),
+          "n_k2d": ("int", DEFAULT_NK2D, (">=", MIN_NK)),
+          "omega": ("grid", lambda model, cavity: None, None),
+          "q": ("grid", lambda model, cavity: None, None)}
 
 
 @dataclass(frozen=True)
@@ -127,24 +140,49 @@ class RunConfig:
     raw: dict
 
 
-def _require_mapping(value, where: str) -> dict:
+def _mapping(value, keys, where: str) -> dict:
+    """`value` if it is an object whose keys are all among `keys`."""
     if not isinstance(value, dict):
         raise ConfigInvalidError(f"{where} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigInvalidError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     return value
 
 
-def _check_keys(mapping: dict, allowed, where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigInvalidError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _number(mapping: dict, key: str, where: str, default=None, minimum=None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise ConfigInvalidError(f"{where}.{key} is required")
-        return float(default)
-    return _finite(mapping[key], f"{where}.{key}", minimum)
+def _section(record, schema: dict, obj, where: str, model=None, cavity=None):
+    """`record` built from the object `obj`, each field read through `schema`
+    in its order; the record's own ValueError is reported under `where`."""
+    section = _mapping(obj, schema, where)
+    fields: dict[str, Any] = {}
+    for key, (kind, default, minimum) in schema.items():
+        name = f"{where}.{key}"
+        if key not in section:
+            if default is None:
+                raise ConfigInvalidError(f"{name} is required")
+            fields[key] = default(model, cavity) if callable(default) else default
+            continue
+        value = section[key]
+        if kind == "number":
+            fields[key] = _finite(value, name, minimum)
+        elif kind == "grid":
+            fields[key] = _section(FrequencyGrid, _GRID, value, name)
+        elif kind == "number_list":
+            if not isinstance(value, list) or not value:
+                raise ConfigInvalidError(f"{name} must be a nonempty array")
+            fields[key] = [_finite(item, f"{name}[{i}]", minimum) for i, item in enumerate(value)]
+        elif kind == "bool":
+            if not isinstance(value, bool):
+                raise ConfigInvalidError(f"{name} must be true or false, got {value!r}")
+            fields[key] = value
+        elif isinstance(value, bool) or not isinstance(value, int):  # kind "int"
+            raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+        else:
+            fields[key] = _bounded(value, minimum, name)
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{where}: {exc}") from exc
 
 
 def _bounded(value, minimum, where: str):
@@ -156,86 +194,30 @@ def _bounded(value, minimum, where: str):
     return value
 
 
+def _real(value) -> float:
+    """`value` as a float; an integer beyond the float range is inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite(value, where: str, minimum=None) -> float:
     """A JSON number as a float; bools, strings, NaN/Infinity and values below
     `minimum` are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalidError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
+    number = _real(value)
     if not math.isfinite(number):
         raise ConfigInvalidError(f"{where} must be a finite number, got {value!r}")
     return _bounded(number, minimum, where)
-
-
-def _integer(mapping: dict, key: str, where: str, default=None, minimum=None) -> int:
-    if key not in mapping:
-        if default is None:
-            raise ConfigInvalidError(f"{where}.{key} is required")
-        return int(default)
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalidError(f"{where}.{key} must be an integer, got {value!r}")
-    return _bounded(value, minimum, f"{where}.{key}")
-
-
-def _boolean(mapping: dict, key: str, where: str, default: bool) -> bool:
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise ConfigInvalidError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _number_list(mapping: dict, key: str, where: str, minimum=None) -> list[float]:
-    if key not in mapping:
-        raise ConfigInvalidError(f"{where}.{key} is required")
-    value = mapping[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigInvalidError(f"{where}.{key} must be a nonempty array")
-    return [_finite(entry, f"{where}.{key}[{i}]", minimum) for i, entry in enumerate(value)]
-
-
-def _grid(mapping: dict, key: str, where: str) -> FrequencyGrid | None:
-    if key not in mapping:
-        return None
-    section = _require_mapping(mapping[key], f"{where}.{key}")
-    _check_keys(section, ("start", "stop", "count"), f"{where}.{key}")
-    start = _number(section, "start", f"{where}.{key}")
-    stop = _number(section, "stop", f"{where}.{key}")
-    count = _integer(section, "count", f"{where}.{key}")
-    try:
-        return FrequencyGrid(start, stop, count)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{where}.{key}: {exc}") from exc
-
-
-def _parse_params(section: dict, schema: dict, model: SshParams, cavity: CavityParams) -> dict:
-    _check_keys(section, schema, "params")
-    out: dict[str, Any] = {}
-    for key, (kind, default, minimum) in schema.items():
-        if callable(default):
-            default = default(model, cavity)
-        if kind == "number":
-            out[key] = _number(section, key, "params", default, minimum)
-        elif kind == "int":
-            out[key] = _integer(section, key, "params", default, minimum)
-        elif kind == "bool":
-            out[key] = _boolean(section, key, "params", default)
-        elif kind == "number_list":
-            out[key] = _number_list(section, key, "params", minimum)
-    return out
 
 
 def parse_config(document: dict, command: str) -> RunConfig:
     """Validate a parsed JSON object against `command` and build a RunConfig."""
     if command not in COMMANDS:
         raise ConfigInvalidError(f"unknown command {command!r}")
-    root = _require_mapping(document, "config")
-    _check_keys(root, ("command", "model", *_SECTIONS, "grids", "params"), "config")
+    root = _mapping(document, ("command", "model", *_SECTIONS, "grids", "params"), "config")
     declared = root.get("command")
     if declared is not None and declared != command:
         raise ConfigInvalidError(
@@ -244,39 +226,19 @@ def parse_config(document: dict, command: str) -> RunConfig:
 
     if "model" not in root:
         raise ConfigInvalidError("model section is required")
-    model_sec = _require_mapping(root["model"], "model")
-    _check_keys(model_sec, ("t1", "t2"), "model")
-    try:
-        model = SshParams(
-            _number(model_sec, "t1", "model"), _number(model_sec, "t2", "model")
-        )
-    except ValueError as exc:
-        raise ConfigInvalidError(f"model: {exc}") from exc
+    model = _section(SshParams, _MODEL, root["model"], "model")
 
     spec = COMMANDS[command]
     sections = dict.fromkeys(_SECTIONS)  # None where the command does not read it
-    for name, (record, defaults) in _SECTIONS.items():
-        section = _require_mapping(root.get(name, {}), name)
-        _check_keys(section, defaults, name)
-        if name not in spec.reads:
-            continue
-        try:
-            sections[name] = record(**{
-                key: _number(section, key, name, default(model) if callable(default) else default)
-                for key, default in defaults.items()
-            })
-        except ValueError as exc:
-            raise ConfigInvalidError(f"{name}: {exc}") from exc
+    for name, (record, schema) in _SECTIONS.items():
+        section = _mapping(root.get(name, {}), schema, name)
+        if name in spec.reads:
+            sections[name] = _section(record, schema, section, name, model)
 
-    grids_sec = _require_mapping(root.get("grids", {}), "grids")
-    _check_keys(grids_sec, ("n_k", "n_k2d", "omega", "q"), "grids")
-    n_k = _integer(grids_sec, "n_k", "grids", DEFAULT_NK, (">=", MIN_NK))
-    n_k2d = _integer(grids_sec, "n_k2d", "grids", DEFAULT_NK2D, (">=", MIN_NK))
-    omega_grid = _grid(grids_sec, "omega", "grids")
-    q_grid = _grid(grids_sec, "q", "grids")
-
-    for key, grid in (("omega", omega_grid), ("q", q_grid)):
-        if key in spec.reads and grid is None:
+    grids = _section(dict, _GRIDS, root.get("grids", {}), "grids")
+    n_k, n_k2d, omega_grid, q_grid = grids.values()
+    for key in ("omega", "q"):
+        if key in spec.reads and grids[key] is None:
             raise ConfigInvalidError(f"command {command!r} requires grids.{key}")
     if command == "keldysh" and omega_grid.start <= 0:
         raise ConfigInvalidError(
@@ -284,8 +246,8 @@ def parse_config(document: dict, command: str) -> RunConfig:
             f"is thermal), got start = {omega_grid.start}"
         )
 
-    params = _parse_params(_require_mapping(root.get("params", {}), "params"),
-                           spec.params, model, sections["cavity"])
+    params = _section(dict, spec.params, root.get("params", {}), "params", model,
+                      sections["cavity"])
 
     sides = {"grids.n_k": n_k + 1, "grids.n_k2d": n_k2d + 1,
              "grids.omega.count": omega_grid.count if omega_grid else None,
@@ -299,7 +261,7 @@ def parse_config(document: dict, command: str) -> RunConfig:
             cells = " x ".join(map(str, shape)) + ("-cell" if len(shape) == 1 else "")
             raise ConfigInvalidError(
                 f"{' x '.join(dict.fromkeys(axes))} needs a {cells} complex array "
-                f"({nbytes / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
+                f"({_real(nbytes) / 2**30:.3g} GiB), over the {MAX_ARRAY_BYTES >> 30} GiB limit"
             )
     if command == "kerr-scan":
         ratios, rungs = len(params["r_values"]), params["n_max"] + 1
@@ -307,7 +269,7 @@ def parse_config(document: dict, command: str) -> RunConfig:
         if nodes > MAX_LADDER_NODES:
             raise ConfigInvalidError(
                 f"params.n_max asks for {ratios} ratio(s) x {rungs} rungs x {n_k + 1} zone "
-                f"nodes = {nodes:.3g} ladder node-rungs, over the budget of "
+                f"nodes = {_real(nodes):.3g} ladder node-rungs, over the budget of "
                 f"{MAX_LADDER_NODES:.3g} (grids.n_k and params.r_values count too)"
             )
 
@@ -329,10 +291,10 @@ def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(document, command)

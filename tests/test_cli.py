@@ -123,12 +123,17 @@ def test_parse_config_derives_hopfield_defaults():
     assert parse_config(doc, "hopfield").params == {"g": 0.05, "delta_pi": 0.9}
 
 
+def exactly(message):
+    """A `pytest.raises(match=...)` pattern for exactly `message`."""
+    return f"^{re.escape(message)}$"
+
+
 def test_parse_config_rejects_unknown_keys():
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("unknown key(s) in config: extra")):
         parse_config({"model": {"t1": 1.0, "t2": 1.5}, "extra": {}}, "bands")
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("unknown key(s) in model: t3")):
         parse_config({"model": {"t1": 1.0, "t2": 1.5, "t3": 0.1}}, "bands")
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("unknown key(s) in params: bogus")):
         parse_config(
             {"model": {"t1": 1.0, "t2": 1.5}, "params": {"n_points": 10, "bogus": 1}},
             "bands",
@@ -136,33 +141,37 @@ def test_parse_config_rejects_unknown_keys():
 
 
 def test_parse_config_rejects_command_mismatch():
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly(
+            "config declares command 'spectrum' but 'bands' was invoked")):
         parse_config(dict(SPECTRUM_DOC), "bands")
 
 
 def test_parse_config_type_discipline():
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("model.t1 must be a number, got '1.0'")):
         parse_config({"model": {"t1": "1.0", "t2": 1.5}}, "bands")
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("model.t1 must be a number, got True")):
         parse_config({"model": {"t1": True, "t2": 1.5}}, "bands")
     doc = json.loads(json.dumps(SPECTRUM_DOC))
     doc["grids"]["n_k"] = 512.5
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError,
+                       match=exactly("grids.n_k must be an integer, got 512.5")):
         parse_config(doc, "spectrum")
     doc = json.loads(json.dumps(SPECTRUM_DOC))
     doc["grids"]["omega"]["count"] = 1
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly(
+            "grids.omega: grid needs at least 2 samples, got 1")):
         parse_config(doc, "spectrum")
 
 
 def test_parse_config_requires_command_grids():
     # spectrum needs both frequency and momentum grids
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError,
+                       match=exactly("command 'spectrum' requires grids.omega")):
         parse_config({"model": {"t1": 1.0, "t2": 1.5}}, "spectrum")
     # kerr-scan needs the ratio list, biphoton its pump
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("params.r_values is required")):
         parse_config({"model": {"t1": 1.0, "t2": 1.5}}, "kerr-scan")
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly("params.omega0 is required")):
         parse_config(
             {
                 "model": {"t1": 1.0, "t2": 0.8},
@@ -182,7 +191,9 @@ def test_parse_config_keldysh_needs_positive_frequencies():
             "q": {"start": 0.0, "stop": 1.0, "count": 3},
         },
     }
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=exactly(
+            "keldysh requires a strictly positive frequency grid (occupation is thermal), "
+            "got start = -0.5")):
         parse_config(doc, "keldysh")
 
 
@@ -732,6 +743,16 @@ OMEGA4 = {"start": 0.6, "stop": 1.4, "count": 4}
     ("schmidt-scan", {"model": CHAIN, "grids": {"omega": OMEGA4},
                       "params": {"omega0": 1.0, "sigma": 0.1, "zeta_values": [0.0, 1.0, -2.0]}},
      "params.zeta_values[2] must be >= 0, got -2.0"),
+    ("bands", [BANDS_DOC], "config must be an object, got list"),
+    ("bands", {}, "model section is required"),
+    ("dressed-bands", {**BANDS_DOC, "params": {"onshell": 1}},
+     "params.onshell must be true or false, got 1"),
+    ("kerr-scan", {"model": CHAIN, "params": {"r_values": []}},
+     "params.r_values must be a nonempty array"),
+    ("self-energy", {"model": CHAIN, "grids": {"omega": {"start": 1.0, "stop": 0.5, "count": 4}}},
+     "grids.omega: grid needs stop > start, got [1.0, 0.5]"),
+    ("self-energy", {"model": CHAIN, "cavity": {"eta": 0}, "grids": {"omega": OMEGA4}},
+     "cavity: eta must be positive, got 0.0"),
 ])
 def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)
@@ -782,6 +803,23 @@ def test_out_of_range_sizes_exit_2_before_compute(tmp_path, capsys, command, doc
     ("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 2**26 - 1}},
      "params.n_max asks for 1 ratio(s) x 67108864 rungs x 4097 zone nodes = 2.75e+11 "
      "ladder node-rungs, over the budget of 1.07e+09"),
+    # sizes past the float range: the message names the key, with an inf size
+    pytest.param("zak", {"model": CHAIN, "grids": {"n_k": 10**400}},
+                 f"grids.n_k needs a {10**400 + 1}-cell complex array (inf GiB), over the 1 GiB "
+                 "limit", id="zak-huge-grids.n_k"),
+    pytest.param("bands", {**BANDS_DOC, "params": {"n_points": 10**400}},
+                 f"params.n_points needs a {10**400}-cell complex array (inf GiB)",
+                 id="bands-huge-params.n_points"),
+    pytest.param("kerr-scan", {"model": CHAIN, "params": {"r_values": [0.5], "n_max": 10**400}},
+                 f"params.n_max needs a {10**400 + 1}-cell complex array (inf GiB)",
+                 id="kerr-scan-huge-params.n_max"),
+    pytest.param("self-energy", {"model": CHAIN, "grids": {"omega": {
+        "start": 0.6, "stop": 1.4, "count": 10**400}}},
+                 f"grids.omega.count needs a {10**400}-cell complex array (inf GiB)",
+                 id="self-energy-huge-grids.omega.count"),
+    pytest.param("vertex", {"model": CHAIN, "grids": {"n_k2d": 10**400, "omega": OMEGA4}},
+                 f"grids.n_k2d needs a {10**400 + 1} x {10**400 + 1} complex array (inf GiB)",
+                 id="vertex-huge-grids.n_k2d"),
 ])
 def test_oversized_grid_exits_2_at_parse_time(tmp_path, capsys, command, doc, message):
     code, out_dir = run_cli(tmp_path, doc, command)
@@ -829,6 +867,16 @@ def test_the_ladder_budget_admits_exactly_2_to_the_30_node_rungs():
         parse_config(doc, "kerr-scan")
 
 
+def test_a_ladder_past_the_float_range_is_rejected_by_key(monkeypatch):
+    monkeypatch.setattr(config, "MAX_ARRAY_BYTES", 1 << 2000)  # let the zone through
+    doc = {"model": CHAIN, "grids": {"n_k": 10**400}, "params": {"r_values": [0.5]}}
+    with pytest.raises(ConfigInvalidError, match=exactly(
+            f"params.n_max asks for 1 ratio(s) x 6 rungs x {10**400 + 1} zone nodes = inf "
+            "ladder node-rungs, over the budget of 1.07e+09 (grids.n_k and params.r_values "
+            "count too)")):
+        parse_config(doc, "kerr-scan")
+
+
 def test_the_memory_budget_admits_a_side_of_8192():
     # 8192^2 complex cells are exactly 1 GiB; nothing is allocated at parse time
     omega = {"start": 0.6, "stop": 1.4, "count": 8192}
@@ -857,6 +905,20 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
     mismatched = write_doc(tmp_path, SPECTRUM_DOC, "mismatch.json")
     assert main(["bands", "--config", mismatched, "--out", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"model": {"t1": 1.0, "t2": 0.5}, "note": "\xff"}', "cannot read config"),  # not UTF-8
+    (b"[" * 100000 + b"]" * 100000, "is not valid JSON: maximum recursion depth exceeded"),
+    (b'{"model": {"t1": 1' + b"0" * 5000 + b', "t2": 0.5}}',
+     "is not valid JSON: Exceeds the limit"),
+], ids=["not-utf-8", "too-deep", "too-many-digits"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["zak", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
