@@ -10,36 +10,34 @@ absorbed, so coefficients and entropies are resolution-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridTooNarrowError, ZeroNormError
 from .lattice import BandEdgeParams, edge_momentum_map
 from .numerics import pairwise_sum, svd_singular_values
-from .params import FrequencyGrid, InteractionKernel
+from .params import CheckedRecord, FrequencyGrid, InteractionKernel
 from .vertex import _kernel_matrix
 
 PUMP_SPAN_SIGMAS = 4.0
 
 
-@dataclass(frozen=True)
-class BiphotonState:
+class BiphotonState(CheckedRecord, namedtuple("BiphotonState", "grid amplitude")):
     """Two-photon amplitude on grid x grid, normalized to unit L2 measure."""
 
-    grid: FrequencyGrid
-    amplitude: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        amplitude = np.asarray(self.amplitude, dtype=complex)
-        n = self.grid.count
+    def __new__(cls, grid: FrequencyGrid, amplitude: np.ndarray):
+        amplitude = np.asarray(amplitude, dtype=complex)
+        n = grid.count
         if amplitude.shape != (n, n):
             raise ValueError(f"amplitude shape {amplitude.shape}, expected ({n}, {n})")
-        object.__setattr__(self, "amplitude", amplitude)
+        return super().__new__(cls, grid, amplitude)
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
+class SchmidtSpectrum(NamedTuple):
     """Normalized Schmidt weights (nonincreasing) and their entropies."""
 
     coefficients: np.ndarray
@@ -47,8 +45,7 @@ class SchmidtSpectrum:
     entropy_bits: float
 
 
-@dataclass(frozen=True)
-class EntropyScanRow:
+class EntropyScanRow(NamedTuple):
     """One kernel range of the entanglement scan."""
 
     zeta: float

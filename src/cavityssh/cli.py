@@ -10,15 +10,19 @@ This module and `config` import no numpy and no numerical module, so
 `--help`, `--version` and every invalid config exit before numpy loads.
 `main` imports `handlers` and `output`, and with them numpy and every
 numerical module, once the config is valid.
+
+Run as `python -m cavityssh.cli`, the process turns off the cyclic garbage
+collector and ends with `os._exit` once `main` returns; `main` called in
+process leaves both alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
-import traceback
 
 # before numpy: OpenBLAS reads it at load; idle workers then sleep instead of spinning 2^28 cycles
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
@@ -99,6 +103,8 @@ def main(argv=None) -> int:
             print(f"computation failed: {exc}", file=sys.stderr)
         else:
             print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
         try:
             emit_manifest(
@@ -124,4 +130,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A run is one short process: the cyclic collector would only sweep
+    # numpy's import-time heap, and teardown would only free what the exit
+    # frees anyway. Every file is closed by now; only the std streams buffer.
+    # argparse's SystemExit and an uncaught error still end the normal way.
+    gc.disable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

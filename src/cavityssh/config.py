@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .errors import ConfigInvalidError
@@ -122,8 +121,7 @@ _GRIDS = {"n_k": ("int", DEFAULT_NK, (">=", MIN_NK)),
           "q": ("grid", lambda model, cavity: None, None)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated parameters for one command invocation; cavity, kernel and
     thermal are None for a command that does not read them."""
 
@@ -286,6 +284,17 @@ def parse_config(document: dict, command: str) -> RunConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict. A repeated key is an
+    error: json.loads would keep its last value and never check the others."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigInvalidError(f"key {repeated!r} appears more than once in one object")
+    return obj
+
+
 def load_config(path: str, command: str) -> RunConfig:
     """Read, parse, and validate the JSON config file at `path`."""
     try:
@@ -294,7 +303,7 @@ def load_config(path: str, command: str) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(document, command)

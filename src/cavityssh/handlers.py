@@ -8,8 +8,6 @@ once the config is valid.
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 import numpy as np
 
 from .biphoton import entropy_scan, input_state, scattered_pair
@@ -147,7 +145,7 @@ _SCHMIDT_HEADER = "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,
 
 def _scan_columns(rows):
     """The _SCHMIDT_HEADER columns of EntropyScanRows, lambda0..3 from `leading`."""
-    return np.array([np.hstack(astuple(row)) for row in rows]).T
+    return np.array([np.hstack(row) for row in rows]).T
 
 
 def _run_biphoton(cfg: RunConfig, log):

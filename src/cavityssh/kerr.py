@@ -8,7 +8,7 @@ resonance, U = g^2 I(omega_c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .params import CavityParams, SshParams
 CRITICAL_GUARD = 0.02
 
 
-@dataclass(frozen=True)
-class KerrResult:
+class KerrResult(NamedTuple):
     """Quadratic fit omega_n ~ omega0 + U n + (1/2) U' n^2 of the resonance ladder."""
 
     omega0: float
@@ -31,8 +30,7 @@ class KerrResult:
     fit_residual: float
 
 
-@dataclass(frozen=True)
-class KerrScanRow:
+class KerrScanRow(NamedTuple):
     """One hopping ratio of the scan; result is None when the solve diverged."""
 
     r: float
@@ -134,7 +132,7 @@ def _scan_row(
     """One ratio of kerr_scan. Its zone table serves the closed form and the
     ladder and is released on return, before the next ratio builds its own."""
     p_r = SshParams(p.t1, r * p.t1)
-    c_r = replace(c, omega_c=p_r.edge_gap)
+    c_r = c._replace(omega_c=p_r.edge_gap)
     table = BubbleTable(p_r, c_r.eta, n_k)
     at_omega_c = table.integral(c_r.omega_c)
     u_closed = c_r.g**2 * at_omega_c  # Sigma^R(omega_c) from this table

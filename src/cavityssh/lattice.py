@@ -7,7 +7,7 @@ small-momentum expansion around the zone edge, with its inverse q*(omega).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ GAPLESS_FLOOR = 1e-12
 CRITICAL_TOL = 1e-6  # |t2/t1 - 1| below which the Zak phase and edge expansion are undefined
 
 
-@dataclass(frozen=True)
-class BandEdgeParams:
+class BandEdgeParams(NamedTuple):
     """Quadratic expansion of the gap and linear dipole slope at k = pi."""
 
     delta0: float

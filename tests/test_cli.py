@@ -1,6 +1,7 @@
 """Config validation, CSV emission, manifests, and exit codes of the batch CLI."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -333,6 +334,82 @@ def test_flat_band_edge_exits_3_without_a_traceback(tmp_path, command, doc):
     assert read_manifest(tmp_path / "out")["error"]["type"] == "CriticalPointError"
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def run_entry(tmp_path, *argv, before=""):
+    """`python -m cavityssh.cli *argv` in a child, or, with `before`, that code
+    and then the module run as __main__ the way -m runs it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if before:
+        code = f"{before}\nimport runpy\nrunpy.run_module('cavityssh.cli', run_name='__main__')"
+        head = ["-c", code]
+    else:
+        head = ["-m", "cavityssh.cli"]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=tmp_path)
+
+
+def test_module_entry_keeps_every_file_and_stderr_line(tmp_path):
+    """The entry ends with os._exit: the --verbose lines still reach stderr,
+    and the manifest's checksums and sizes are those of the files on disk."""
+    config = write_doc(tmp_path, SPECTRUM_DOC)
+    out_dir = tmp_path / "out"
+    result = run_entry(tmp_path, "spectrum", "--config", config, "--out", str(out_dir),
+                       "--verbose")
+    assert result.returncode == 0, result.stderr
+    manifest = read_manifest(out_dir)
+    assert [entry["file"] for entry in manifest["outputs"]] == ["spectrum.csv"]
+    assert result.stderr == f"spectral map 24 x 9 at n_k=512\nwrote {out_dir / 'spectrum.csv'}\n"
+    for entry in manifest["outputs"]:
+        data = (out_dir / entry["file"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
+    assert sorted(os.listdir(out_dir)) == ["manifest.json", "spectrum.csv"]
+
+
+def test_module_entry_exit_codes(tmp_path):
+    """0 ok, 2 invalid config, 3 computation failed with its traceback on
+    stderr, 4 I/O; argparse errors still exit 2 through SystemExit."""
+    config = write_doc(tmp_path, {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}})
+    ok = run_entry(tmp_path, "zak", "--config", config, "--out", "ok")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert read_manifest(tmp_path / "ok")["outputs"][0]["file"] == "zak.csv"
+
+    bad = write_doc(tmp_path, {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 10}}, "bad.json")
+    invalid = run_entry(tmp_path, "zak", "--config", bad, "--out", "bad")
+    assert invalid.returncode == 2
+    assert invalid.stderr == "config error: grids.n_k must be >= 64, got 10\n"
+
+    usage = run_entry(tmp_path, "interpolate", "--config", config)
+    assert usage.returncode == 2
+    assert "invalid choice: 'interpolate'" in usage.stderr
+
+    # a file where the output directory should be
+    (tmp_path / "taken").write_text("")
+    unwritable = run_entry(tmp_path, "zak", "--config", config, "--out", "taken")
+    assert unwritable.returncode == 4
+    assert unwritable.stderr.startswith("output error: ")
+
+    # with the parse-time budget lifted, numpy refuses the vertex kernel
+    vertex = write_doc(tmp_path, OVERSIZED_VERTEX, "vertex.json")
+    failed = run_entry(tmp_path, "vertex", "--config", vertex, "--out", "failed",
+                       before="import cavityssh.config\ncavityssh.config.MAX_ARRAY_BYTES = 1 << 62")
+    assert failed.returncode == 3
+    assert failed.stderr.startswith("computation failed: MemoryError: Unable to allocate")
+    assert "Traceback (most recent call last):" in failed.stderr
+    assert "Unable to allocate" in failed.stderr.rstrip().splitlines()[-1]  # the traceback's end
+    assert read_manifest(tmp_path / "failed")["error"]["type"] == "MemoryError"
+
+
+def test_in_process_main_leaves_the_collector_on(tmp_path):
+    """Only the module entry turns the collector off; main() called by a test
+    or by the benchmark's traced pass does not."""
+    assert gc.isenabled()
+    code, _ = run_cli(tmp_path, {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}}, "zak")
+    assert code == 0
+    assert gc.isenabled()
 
 
 def test_bands_at_the_gap_closure_writes_its_csv(tmp_path):
@@ -905,6 +982,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
     mismatched = write_doc(tmp_path, SPECTRUM_DOC, "mismatch.json")
     assert main(["bands", "--config", mismatched, "--out", str(tmp_path / "o2")]) == 2
+
+    # json.loads alone keeps the last value of a repeated key, so this ran at n_k = 128
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 10, "n_k": 128}}')
+    assert main(["zak", "--config", str(repeated), "--out", str(tmp_path / "o3")]) == 2
+    assert "key 'n_k' appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 @pytest.mark.parametrize("content, message", [

@@ -2,7 +2,6 @@
 
 import gc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,7 +191,7 @@ def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
     assert len(built) == 3
     for row in rows:
         p_r = SshParams(1.0, row.r)
-        c_r = replace(KERR_CAV, omega_c=2.0 * abs(1.0 - row.r))
+        c_r = KERR_CAV._replace(omega_c=2.0 * abs(1.0 - row.r))
         assert row.u_closed == photon_self_energy(c_r.omega_c, p_r, c_r, n_k=4096)
         ladder = solve_omega_sequence(3, BubbleTable(p_r, c_r.eta, 4096), c_r)
         assert row.result.omega_n.tobytes() == ladder.tobytes()

@@ -1,5 +1,6 @@
 """What loads when: the CLI front end and config validation import no numpy and
-no numerical module; a dispatched command loads every layer.
+no numerical module; a dispatched command loads every layer. No run loads
+`dataclasses`, and only a run that prints a traceback loads `traceback`.
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported numpy and every module.
@@ -24,6 +25,9 @@ CONFIGS = sorted(glob.glob(os.path.join(SRC, "..", "configs", "*.json")))
 # what `import cavityssh.cli` and `load_config` must not load
 NUMERICAL = ("numpy", "cavityssh.numerics", "cavityssh.lattice", "cavityssh.cavity",
              "cavityssh.output")
+# what they must not load either: the records are named tuples, and the CLI
+# imports traceback only to print one
+LEAN = ("dataclasses", "traceback")
 
 
 def run_python(*args):
@@ -63,7 +67,7 @@ def test_cli_import_and_config_validation_load_no_numerical_module(tmp_path):
         with open(path, encoding="utf-8") as handle:
             jobs.append((json.load(handle)["command"], path))
     assert len(jobs) == len(runs) + 4
-    result = run_python("-c", VALIDATE, json.dumps(jobs), json.dumps(NUMERICAL))
+    result = run_python("-c", VALIDATE, json.dumps(jobs), json.dumps(NUMERICAL + LEAN))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
 
@@ -85,7 +89,7 @@ def test_cli_entry_exits_before_numpy_loads(tmp_path, argv, code):
     imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line}
     assert "cavityssh.config" in imported
-    assert sorted(imported & set(NUMERICAL)) == []
+    assert sorted(imported & set(NUMERICAL + LEAN)) == []
     if code == 2:
         assert "config error: grids.n_k must be >= 64, got 10" in result.stderr
         assert not out.exists()
@@ -95,17 +99,19 @@ DISPATCH = """
 import json, sys
 from cavityssh import cli
 code = cli.main(sys.argv[2:])
-print(json.dumps([code, sorted(set(json.loads(sys.argv[1])) - set(sys.modules))]))
+print(json.dumps([code, sorted(set(json.loads(sys.argv[1])) - set(sys.modules)),
+                  sorted({"dataclasses", "traceback"} & set(sys.modules))]))
 """
 
 
 def test_a_dispatched_run_loads_every_traced_layer(tmp_path):
     """`zak` reads only the lattice, yet its run loads every layer, so the
-    tracer finds each one in sys.modules after any first command."""
+    tracer finds each one in sys.modules after any first command. It loads
+    neither `dataclasses` nor `traceback`."""
     config = tmp_path / "zak.json"
     config.write_text(json.dumps({"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}}))
     layers = [f"cavityssh.{layer}" for layer in traced_layers()]
     argv = ["zak", "--config", str(config), "--out", str(tmp_path / "out")]
     result = run_python("-c", DISPATCH, json.dumps(layers), *argv)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [0, []]
+    assert json.loads(result.stdout) == [0, [], []]
