@@ -27,8 +27,9 @@ class BubbleTable:
     `samples` returns a fresh array the caller may keep. `integral` writes
     the samples and the pairwise rounds into a scratch pair that the table
     keeps, made on its first call, so repeated integrals allocate no
-    zone-sized array. A call that finds the pair in use by another thread
-    makes its own and keeps it too, so threads never share a buffer.
+    zone-sized array. Every command calls a table from one thread, so a
+    table holds one pair; an integral that overlaps another takes a pair of
+    its own rather than share one.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int):
@@ -36,7 +37,7 @@ class BubbleTable:
         self.eta = float(eta)
         self.delta = np.asarray(band_gap(self.nodes, p))
         self.weighted_mu2 = weights * np.asarray(dipole(self.nodes, p)) ** 2
-        self._scratch = []  # idle scratch pairs of `integral`
+        self._scratch = []  # the idle scratch pairs of `integral`
 
     def _weighted(self, omega: complex, power: int, out: np.ndarray) -> np.ndarray:
         """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` and return it.
@@ -72,9 +73,9 @@ class BubbleTable:
         samples are scanned only when the total is; NonFiniteSampleError is
         raised exactly when a sample is non-finite, as in `samples`.
         """
-        try:  # list.pop is atomic, so overlapping calls never share a pair
+        try:
             samples, pair = self._scratch.pop()
-        except IndexError:  # the first call, or every pair is in use
+        except IndexError:  # the first call, or an overlapping one
             size = self.delta.size
             samples = np.empty(size, dtype=complex)
             pair = np.empty((2, (size + 1) // 2), dtype=complex)
@@ -100,6 +101,62 @@ def dressed_propagator(omega: float, q: float, c: CavityParams, sigma: complex) 
     """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta),
     with Sigma^R = `sigma` the self-energy at omega; elementwise on arrays."""
     return 1.0 / (omega - c.omega_c - c.mass_beta * q * q - sigma + 1j * c.eta)
+
+
+# CPython rounds a complex * or / of Python numbers as plain double operations
+# (Objects/complexobject.c), so float ufuncs on the real and imaginary parts
+# reproduce it bit for bit. numpy's complex *arrays* do not: their multiply
+# may contract to fma. The maps below therefore work on float parts only.
+
+
+def _py_product(a_re, a_im, b_re, b_im):
+    """Parts of a * b as CPython's `_Py_c_prod` rounds them; numpy's complex
+    scalar product uses the same formula. A float operand x is (x, 0.0)."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _py_square(x):
+    """x ** 2 as Python's float ** rounds it: libm pow, which np.float_power
+    calls. np.square and np.power(x, 2) multiply x * x, which differs in the
+    last bit for about one float in 1,300. Where the square of a finite x
+    overflows, Python raises OverflowError and this gives inf."""
+    return np.float_power(x, 2.0)
+
+
+def _py_quotient(a_re, a_im, b_re, b_im):
+    """Parts of a / b as CPython's `_Py_c_quot` rounds them, on float arrays.
+
+    Smith's division with two divides: scale by the part of b of larger
+    magnitude. A nan in b gives nan parts, and a zero b raises
+    ZeroDivisionError, as Python's `/` does.
+    """
+    b_re, b_im = np.asarray(b_re, dtype=float), np.asarray(b_im, dtype=float)
+    by_re = np.abs(b_re) >= np.abs(b_im)
+    large = np.where(by_re, b_re, b_im)
+    if np.any(large == 0.0):
+        raise ZeroDivisionError("complex division by zero")
+    small = np.where(by_re, b_im, b_re)
+    ratio = small / large
+    denom = large + small * ratio  # b_re * ratio + b_im in the second branch
+    re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+    im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    unordered = np.isnan(b_re) | np.isnan(b_im)
+    if np.any(unordered):
+        re, im = np.where(unordered, np.nan, re), np.where(unordered, np.nan, im)
+    return re, im
+
+
+def _propagator_parts(omega, q, c: CavityParams, sigma_re=0.0, sigma_im=0.0):
+    """Real and imaginary parts of `dressed_propagator(omega, q, c, sigma)` with
+    sigma = complex(sigma_re, sigma_im), elementwise on float arrays.
+
+    Each part rounds as the scalar expression does for Python floats and a
+    Python complex sigma; a float sigma s rounds as complex(s, 0.0).
+    """
+    shift = 1j * c.eta
+    d_re = omega - c.omega_c - c.mass_beta * q * q - sigma_re + shift.real
+    d_im = (0.0 - sigma_im) + shift.imag
+    return _py_quotient(1.0, 0.0, d_re, d_im)
 
 
 def spectral_map(

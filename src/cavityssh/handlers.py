@@ -33,9 +33,12 @@ _KERNEL_NOTE = (
 
 
 def _grid_columns(outer, inner):
-    """The coordinate columns of an (outer, inner) map read row by row: outer
-    repeated, inner cycled, to sit beside the map's .ravel()."""
-    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+    """The coordinate columns of an (outer, inner) map read row by row, to sit
+    beside the map's .ravel(): outer repeated, inner cycled, as text columns.
+    Each distinct coordinate is formatted once, as `write_csv` would print it."""
+    outer_text = ["%.17g" % x for x in outer.tolist()]
+    inner_text = ["%.17g" % x for x in inner.tolist()]
+    return [text for text in outer_text for _ in inner_text], inner_text * len(outer_text)
 
 
 def _run_bands(cfg: RunConfig, log):

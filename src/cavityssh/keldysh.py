@@ -11,8 +11,10 @@ regulator is a zero-occupation spectator channel: it carries vacuum Keldysh
 noise 2 i eta |G^R|^2 (no thermal factor), so the ratio returns exactly 0 at
 T = 0 and approaches n_B from below as eta -> 0.
 
-`keldysh_map` evaluates G^K, A and n on an (omega, q) grid from the private
-per-point formulas below.
+`keldysh_map` evaluates G^K, A and n on an (omega, q) grid: Sigma^R, n_B and
+Sigma^K per omega as Python scalars, then every (omega, q) cell of a row
+block at once on float arrays, rounded as the per-point complex chain
+rounds it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import dressed_propagator, self_energy_spectrum
+from .cavity import _propagator_parts, _py_product, _py_square, self_energy_spectrum
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
 from .params import CavityParams, FrequencyGrid, SshParams, ThermalState
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this n_B underflows to 0 anyway
+_BLOCK_CELLS = 2048  # (omega, q) cells per row block of `keldysh_map`
 
 
 class KeldyshMap(NamedTuple):
@@ -54,21 +57,15 @@ def _sigma_keldysh(sigma: complex, n_b: float) -> complex:
     return -2j * sigma.imag * (1.0 + 2.0 * n_b)
 
 
-def _green_keldysh(g_r: complex, sigma_k: complex):
-    """G^K = G^R Sigma^K G^A with G^A = conj(G^R)."""
-    return g_r * sigma_k * np.conj(g_r)
-
-
-def _occupation_from(g_r: complex, g_k, eta: float, omega: float, q: float):
-    """n = (1/2) ((G^K + 2i eta |G^R|^2) / (-2i Im G^R) - 1) from one G^R and its G^K."""
-    weight = abs(g_r) ** 2
-    if not g_r.imag < 0:
-        raise ZeroSpectralWeightError(
-            f"spectral weight vanished at omega={omega}, q={q}"
-        )
-    g_k_total = g_k + 2j * eta * weight
-    ratio = (g_k_total / (-2j * g_r.imag)).real
-    return 0.5 * (ratio - 1.0)
+def _occupation_ratio(total_re, total_im, den_re, den_im):
+    """Re(total / den) as numpy's complex scalar division rounds it, for
+    |Re den| < |Im den|: Smith's division through one reciprocal,
+    scl = 1/(Im den + Re den r) with r = Re den / Im den. The denominator
+    -2i Im G^R has Re den = +0.0 exactly wherever Im G^R < 0, so the other
+    branch never runs."""
+    ratio = den_re / den_im
+    scale = 1.0 / (den_im + den_re * ratio)
+    return (total_re * ratio + total_im) * scale
 
 
 def keldysh_map(
@@ -82,26 +79,45 @@ def keldysh_map(
     """G^K, A and n on the product grid.
 
     Per omega: Sigma^R from one `self_energy_spectrum`, one n_B and one
-    Sigma^K; per (omega, q): one G^R, from which G^K, A = -Im G^R / pi and n
-    follow. Raises ZeroSpectralWeightError where Im G^R >= 0, where the
-    occupation is undefined.
+    Sigma^K; per (omega, q): one G^R, then G^K = (G^R Sigma^K) conj(G^R),
+    A = -Im G^R / pi and n = (1/2) ((G^K + 2i eta |G^R|^2) / (-2i Im G^R) - 1),
+    each rounded as the same expression of Python and numpy complex scalars
+    rounds it. Rows are evaluated a block of about _BLOCK_CELLS cells at a
+    time, on float parts (`cavity._py_product`), with |G^R|^2 as np.hypot
+    and `cavity._py_square`. Raises ZeroSpectralWeightError at the first
+    (omega, q), in row order, where Im G^R >= 0 and the occupation is
+    undefined.
     """
-    sigmas = self_energy_spectrum(omega_grid, p, c, n_k).tolist()
-    qs = q_grid.values.tolist()
+    omegas = omega_grid.values
+    sigmas = self_energy_spectrum(omega_grid, p, c, n_k)
+    qs = q_grid.values
     shape = (omega_grid.count, q_grid.count)
     g_keldysh = np.empty(shape, dtype=complex)
     spectral = np.empty(shape, dtype=float)
     occupations = np.empty(shape, dtype=float)
-    for i, (omega, sigma) in enumerate(zip(omega_grid.values.tolist(), sigmas)):
-        sigma_k = _sigma_keldysh(sigma, bose_occupation(omega, th))
-        row_gk, row_a, row_n = [], [], []
-        for q in qs:
-            g_r = dressed_propagator(omega, q, c, sigma)
-            g_k = _green_keldysh(g_r, sigma_k)
-            row_gk.append(g_k)
-            row_a.append(-g_r.imag / np.pi)
-            row_n.append(_occupation_from(g_r, g_k, c.eta, omega, q))
-        g_keldysh[i] = row_gk
-        spectral[i] = row_a
-        occupations[i] = row_n
+    noise = 2j * c.eta
+    step = max(1, _BLOCK_CELLS // q_grid.count)
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        w, sigma = omegas[rows], sigmas[rows]
+        sigma_k = np.array([_sigma_keldysh(s, bose_occupation(x, th))
+                            for x, s in zip(w.tolist(), sigma.tolist())])[:, None]
+        g_re, g_im = _propagator_parts(w[:, None], qs, c, sigma.real[:, None],
+                                       sigma.imag[:, None])
+        vanished = ~(g_im < 0)
+        if np.any(vanished):
+            i, j = np.unravel_index(np.argmax(vanished), vanished.shape)
+            raise ZeroSpectralWeightError(
+                f"spectral weight vanished at omega={w[i].item()}, q={qs[j].item()}"
+            )
+        p_re, p_im = _py_product(g_re, g_im, sigma_k.real, sigma_k.imag)
+        gk_re, gk_im = _py_product(p_re, p_im, g_re, -g_im)
+        weight = _py_square(np.hypot(g_re, g_im))
+        noise_re, noise_im = _py_product(noise.real, noise.imag, weight, 0.0)
+        den_re, den_im = _py_product(-0.0, -2.0, g_im, 0.0)  # -2j * Im G^R
+        ratio = _occupation_ratio(gk_re + noise_re, gk_im + noise_im, den_re, den_im)
+        g_keldysh[rows].real = gk_re
+        g_keldysh[rows].imag = gk_im
+        spectral[rows] = -g_im / np.pi
+        occupations[rows] = 0.5 * (ratio - 1.0)
     return KeldyshMap(g_keldysh, spectral, occupations)

@@ -6,8 +6,11 @@ No command reaches these; the tests hold each sweep to them:
 `dressed_band_sweep` to `sigma_matrix` and `dressed_bands`,
 `gamma4_direct_grid` to `gamma4_direct`, `BubbleTable` to `bz_integrate`, and
 the Kramers-Kronig checks to `principal_value`. Each one computes a single
-point (or a single integral) the plain way, from the library's public kernels
-and the private formulas the sweeps share.
+point (or a single integral) the plain way, with Python's complex scalars,
+from the library's public kernels and private formulas. `_green_keldysh`,
+`_occupation_from` and `_dressed_radius` are the per-point formulas that
+`keldysh_map` and `dressed_band_sweep` evaluate on arrays, rounding as these
+do.
 """
 
 from __future__ import annotations
@@ -18,15 +21,8 @@ from typing import Callable
 import numpy as np
 
 from cavityssh.cavity import BubbleTable, CavityParams, dressed_propagator
-from cavityssh.dressing import _dressed_radius
-from cavityssh.errors import CavitySshError, NonFiniteSampleError
-from cavityssh.keldysh import (
-    ThermalState,
-    _green_keldysh,
-    _occupation_from,
-    _sigma_keldysh,
-    bose_occupation,
-)
+from cavityssh.errors import CavitySshError, NonFiniteSampleError, ZeroSpectralWeightError
+from cavityssh.keldysh import ThermalState, _sigma_keldysh, bose_occupation
 from cavityssh.lattice import SshParams, band_gap, dipole
 from cavityssh.numerics import pairwise_sum, zone_trapezoid
 from cavityssh.vertex import InteractionKernel, _kernel_matrix
@@ -141,6 +137,23 @@ def spectral_function(omega: float, q: float, c: CavityParams, sigma: complex) -
     return -dressed_propagator(omega, q, c, sigma).imag / np.pi
 
 
+def _green_keldysh(g_r: complex, sigma_k: complex):
+    """G^K = G^R Sigma^K G^A with G^A = conj(G^R)."""
+    return g_r * sigma_k * np.conj(g_r)
+
+
+def _occupation_from(g_r: complex, g_k, eta: float, omega: float, q: float):
+    """n = (1/2) ((G^K + 2i eta |G^R|^2) / (-2i Im G^R) - 1) from one G^R and its G^K."""
+    weight = abs(g_r) ** 2
+    if not g_r.imag < 0:
+        raise ZeroSpectralWeightError(
+            f"spectral weight vanished at omega={omega}, q={q}"
+        )
+    g_k_total = g_k + 2j * eta * weight
+    ratio = (g_k_total / (-2j * g_r.imag)).real
+    return 0.5 * (ratio - 1.0)
+
+
 def keldysh_green(
     omega: float, q: float, c: CavityParams, th: ThermalState, sigma: complex
 ) -> complex:
@@ -188,6 +201,10 @@ def gamma4_direct(
 
 
 # ---------------------------------------------------------------- electrons
+
+
+def _dressed_radius(gap: float, sigma_cv: complex) -> float:
+    return float(np.sqrt((0.5 * gap) ** 2 + abs(sigma_cv) ** 2))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Photon self-energy, dressed propagator, and spectral maps against quadrature
 and residue oracles."""
 
+import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -23,6 +25,7 @@ from cavityssh import (
     spectral_map,
     zone_trapezoid,
 )
+from cavityssh.cavity import _propagator_parts, _py_product, _py_quotient, _py_square
 from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import pairwise_sum
 from reference import bz_integrate, photon_self_energy, principal_value, spectral_function
@@ -111,7 +114,7 @@ def bits(value) -> bytes:
     im=st.floats(-0.5 * SHARP.eta, 0.5).filter(bool),
 )
 def test_bubble_integral_is_the_pairwise_sum_of_its_samples(n_k, power, kind, omega, im):
-    """integral() sums the samples() formula in its per-thread scratch without
+    """integral() sums the samples() formula in the table's scratch without
     changing a bit, and samples() rounds as the plain expression. An off-axis
     omega has Im omega != 0 and Im omega + eta > 0, as the Kerr Newton
     iterates have."""
@@ -177,7 +180,7 @@ def test_bubble_table_shared_by_threads_gives_the_serial_values():
 
 
 def test_bubble_integral_allocates_no_zone_sized_array():
-    """After its first call a table's integral reuses the thread's scratch;
+    """After its first call a table's integral reuses the table's scratch;
     numpy reports its data buffers to tracemalloc."""
     n_k = 65536
     table = BubbleTable(TOPO, SHARP.eta, n_k)
@@ -254,6 +257,97 @@ def test_dressed_propagator_retarded_sign():
     for omega in (0.3, 1.0, 2.2, 4.8):
         sigma = photon_self_energy(omega, TOPO, CAV, n_k=1024)
         assert dressed_propagator(omega, 0.4, CAV, sigma).imag < 0
+
+
+# twelve values whose products and quotients reach every IEEE end case
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.5, 1e300, -1e300, math.inf, -math.inf,
+           2.2250738585072014e-308, -0.1]
+
+
+def same_bits(got, expected) -> bool:
+    """Equal as int64 words, so the sign of zero and the nan payload count."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def special_quadruples():
+    """Columns a_re, a_im, b_re, b_im of every quadruple of SPECIAL values."""
+    grid = np.array(list(itertools.product(SPECIAL, repeat=4)))
+    return grid.T.copy()
+
+
+def test_py_product_rounds_as_python_complex_multiplication():
+    a_re, a_im, b_re, b_im = special_quadruples()
+    with np.errstate(all="ignore"):
+        re, im = _py_product(a_re, a_im, b_re, b_im)
+    expected = [complex(*a) * complex(*b) for a, b in
+                zip(zip(a_re.tolist(), a_im.tolist()), zip(b_re.tolist(), b_im.tolist()))]
+    assert same_bits(re, [z.real for z in expected])
+    assert same_bits(im, [z.imag for z in expected])
+
+
+def test_py_quotient_rounds_as_python_complex_division():
+    """All 20,160 quotients of SPECIAL values with a nonzero divisor, bit for bit."""
+    a_re, a_im, b_re, b_im = special_quadruples()
+    nonzero = (b_re != 0) | (b_im != 0)
+    a_re, a_im, b_re, b_im = a_re[nonzero], a_im[nonzero], b_re[nonzero], b_im[nonzero]
+    assert a_re.size == 20_160
+    with np.errstate(all="ignore"):
+        re, im = _py_quotient(a_re, a_im, b_re, b_im)
+    expected = [complex(*a) / complex(*b) for a, b in
+                zip(zip(a_re.tolist(), a_im.tolist()), zip(b_re.tolist(), b_im.tolist()))]
+    assert same_bits(re, [z.real for z in expected])
+    assert same_bits(im, [z.imag for z in expected])
+
+
+def test_py_quotient_nan_and_zero_divisors_behave_as_python():
+    negative_nan = -math.nan  # Python gives its own +nan, not the divisor's
+    for b in (complex(math.nan, 1.0), complex(1.0, negative_nan),
+              complex(negative_nan, negative_nan)):
+        expected = complex(2.0, -3.0) / b
+        with np.errstate(all="ignore"):
+            re, im = _py_quotient(2.0, -3.0, np.array([b.real]), np.array([b.imag]))
+        assert same_bits(re, [expected.real]) and same_bits(im, [expected.imag])
+    for zero in (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)):
+        with pytest.raises(ZeroDivisionError):
+            complex(1.0, 0.0) / zero
+        with pytest.raises(ZeroDivisionError):
+            _py_quotient(1.0, 0.0, np.array([1.0, zero.real]), np.array([1.0, zero.imag]))
+
+
+def test_py_square_rounds_as_python_float_power():
+    """On 200,000 random floats, where x * x misses x ** 2 in the last bit
+    about 150 times, and on the SPECIAL values whose square Python does not
+    refuse with OverflowError (there _py_square gives inf)."""
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.random(200_000) * 10.0 ** rng.uniform(-150, 150, 200_000),
+                        [v for v in SPECIAL if abs(v) < 1e154 or math.isinf(v)]])
+    assert same_bits(_py_square(x), [v ** 2 for v in x.tolist()])
+    assert not same_bits(np.square(x), _py_square(x))  # why x * x is not used
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.lists(finite, min_size=1, max_size=6), q=st.lists(finite, min_size=1, max_size=6),
+       sigma_re=finite, sigma_im=st.floats(-1e300, 0.0),
+       omega_c=st.floats(1e-300, 1e300), mass_beta=st.floats(0.0, 1e300),
+       eta=st.floats(5e-324, 1e300))
+def test_propagator_parts_round_as_the_scalar_propagator(omega, q, sigma_re, sigma_im,
+                                                         omega_c, mass_beta, eta):
+    """Every finite omega, q and Sigma^R with Im Sigma^R <= 0, overflow to
+    inf and underflow to 0 included, give the scalar expression's bits."""
+    c = CavityParams(omega_c=omega_c, mass_beta=mass_beta, g=1.0, eta=eta)
+    sigma = complex(sigma_re, sigma_im)
+    with np.errstate(all="ignore"):
+        re, im = _propagator_parts(np.array(omega)[:, None], np.array(q), c, sigma_re, sigma_im)
+    expected = np.array([[dressed_propagator(w, k, c, sigma) for k in q] for w in omega])
+    assert same_bits(re, expected.real) and same_bits(im, expected.imag)
+    with np.errstate(all="ignore"):
+        re, im = _propagator_parts(np.array(omega), 0.0, c)
+    expected = np.array([dressed_propagator(w, 0.0, c, 0.0) for w in omega])
+    assert same_bits(re, expected.real) and same_bits(im, expected.imag)
 
 
 def test_spectral_function_bare_lorentzian_peak():

@@ -3,6 +3,8 @@ the dressed band edges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityssh import (
     CavityParams,
@@ -150,17 +152,56 @@ def test_interband_mixing_is_perturbative_at_figure_coupling():
                 assert abs(entry.sigma_cv) / gap < 1e-2
 
 
+def assert_sweep_is_pointwise(ks, p, c, onshell, omega):
+    """dressed_band_sweep equals sigma_matrix and dressed_bands at every k, as
+    int64 words, so the sign of zero counts."""
+    sweep = dressed_band_sweep(ks, p, c, onshell=onshell, omega=omega)
+    for i, k in enumerate(ks.tolist()):
+        w = 0.5 * float(band_gap(k, p)) if onshell else omega
+        entry = sigma_matrix(k, w, p, c)
+        bands = dressed_bands(k, w, p, c)
+        got = (sweep.k[i], sweep.omega[i], sweep.sigma_cv[i], sweep.e_plus[i], sweep.e_minus[i])
+        expected = (k, w, entry.sigma_cv, bands.e_plus, bands.e_minus)
+        for a, b in zip(got, expected):
+            assert np.array_equal(np.atleast_1d(a).view(np.int64), np.atleast_1d(b).view(np.int64))
+
+
 @pytest.mark.parametrize("p", [TRIVIAL, TOPO])
 @pytest.mark.parametrize("onshell", [True, False])
 def test_dressed_band_sweep_matches_pointwise_functions_bit_for_bit(p, onshell):
     c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
-    ks = np.linspace(-np.pi, np.pi, 257)
-    sweep = dressed_band_sweep(ks, p, c, onshell=onshell, omega=0.3)
-    for i, k in enumerate(ks.tolist()):
-        omega = 0.5 * float(band_gap(k, p)) if onshell else 0.3
-        entry = sigma_matrix(k, omega, p, c)
-        bands = dressed_bands(k, omega, p, c)
-        got = (sweep.k[i], sweep.omega[i], sweep.sigma_cv[i], sweep.e_plus[i], sweep.e_minus[i])
-        expected = (k, omega, entry.sigma_cv, bands.e_plus, bands.e_minus)
-        for a, b in zip(got, expected):
-            assert np.array_equal(np.atleast_1d(a).view(np.int64), np.atleast_1d(b).view(np.int64))
+    assert_sweep_is_pointwise(np.linspace(-np.pi, np.pi, 257), p, c, onshell, 0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t2=st.floats(0.0, 3.0).filter(lambda t2: abs(t2 - 1.0) > 1e-3),
+    eta=st.floats(1e-4, 5.0),
+    g=st.floats(0.0, 3.0),
+    mass_beta=st.floats(0.0, 3.0),
+    omega_c=st.floats(0.1, 6.0),
+    onshell=st.booleans(),
+    omega=st.floats(-8.0, 8.0),
+    count=st.integers(1, 40),
+)
+def test_dressed_band_sweep_is_the_pointwise_chain_bit_for_bit(
+    t2, eta, g, mass_beta, omega_c, onshell, omega, count
+):
+    """On random chains, couplings and linewidths, on shell and at a fixed
+    omega, every k equals the per-k scalar chain."""
+    p = SshParams(1.0, t2)
+    c = CavityParams(omega_c=omega_c, mass_beta=mass_beta, g=g, eta=eta)
+    assert_sweep_is_pointwise(np.linspace(-np.pi, np.pi, count), p, c, onshell, omega)
+
+
+def test_dressed_band_sweep_is_pointwise_in_both_quotient_branches():
+    """At omega = Delta(1) + omega_c the cavity denominator has
+    |Re d| < eta = |Im d| for k near +-1, the quotient's second branch, and
+    |Re d| >= eta elsewhere, the first."""
+    c = CavityParams(omega_c=0.5, mass_beta=0.5, g=0.7, eta=0.2)
+    ks = np.linspace(-np.pi, np.pi, 101)
+    omega = float(band_gap(1.0, TOPO)) + c.omega_c
+    d_re = omega - band_gap(ks, TOPO) - c.omega_c
+    second = np.abs(d_re) < c.eta
+    assert second.any() and not second.all()
+    assert_sweep_is_pointwise(ks, TOPO, c, False, omega)

@@ -1,7 +1,12 @@
 """Thermal occupation and the Keldysh chain against the equilibrium identities."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityssh import (
     CavityParams,
@@ -14,6 +19,7 @@ from cavityssh import (
     dressed_propagator,
     keldysh_map,
 )
+from cavityssh.keldysh import _occupation_ratio
 from reference import keldysh_green, occupation, photon_self_energy, spectral_function
 
 TOPO = SshParams(1.0, 1.5)
@@ -191,7 +197,102 @@ def test_keldysh_map_refuses_vanishing_spectral_weight():
         keldysh_map(FrequencyGrid(0.8, 1.2, 3), q_grid, TOPO, c, WARM, n_k=256)
 
 
+def test_keldysh_map_names_the_first_cell_without_spectral_weight():
+    """Im G^R underflows to -0.0 at q = 5e99 and at 1e100 on every row; the
+    error names the first of them in row order, as the per-point chain does."""
+    c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
+    omega_grid, q_grid = FrequencyGrid(0.8, 1.2, 3), FrequencyGrid(0.0, 1e100, 3)
+    with pytest.raises(ZeroSpectralWeightError) as pointwise:
+        occupation(0.8, 5e99, c, WARM, photon_self_energy(0.8, TOPO, c, n_k=256))
+    with pytest.raises(ZeroSpectralWeightError) as swept:
+        keldysh_map(omega_grid, q_grid, TOPO, c, WARM, n_k=256)
+    assert str(swept.value) == str(pointwise.value)
+    assert "omega=0.8, q=5e+99" in str(swept.value)
+
+
 def test_keldysh_map_keeps_the_positive_frequency_check():
     c = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
     with pytest.raises(NonPositiveFrequencyError):
         keldysh_map(FrequencyGrid(0.0, 1.0, 3), FrequencyGrid(0.0, 1.0, 2), TOPO, c, WARM, n_k=256)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.5, 1e300, -1e300, math.inf, -math.inf,
+           2.2250738585072014e-308, -0.1]
+
+
+def test_occupation_ratio_rounds_as_numpy_scalar_division():
+    """Re(t / d) for every t and d of SPECIAL values with |Re d| < |Im d|,
+    against numpy's complex scalar division as the occupation calls it."""
+    cases = [(t_re, t_im, d_re, d_im)
+             for t_re, t_im, d_re, d_im in itertools.product(SPECIAL, repeat=4)
+             if abs(d_re) < abs(d_im)]
+    t_re, t_im, d_re, d_im = np.array(cases).T.copy()
+    with np.errstate(all="ignore"):
+        got = _occupation_ratio(t_re, t_im, d_re, d_im)
+        expected = [(np.complex128(complex(a, b)) / complex(c, d)).real for a, b, c, d in cases]
+    assert same_bits(got, expected)
+
+
+def assert_map_is_pointwise(omega_grid, q_grid, p, c, th, n_k):
+    """keldysh_map equals keldysh_green, -Im G^R / pi and occupation at every
+    cell, as int64 words."""
+    kmap = keldysh_map(omega_grid, q_grid, p, c, th, n_k=n_k)
+    expected = np.empty((3, omega_grid.count, q_grid.count), dtype=complex)
+    for i, w in enumerate(omega_grid.values.tolist()):
+        sigma = photon_self_energy(w, p, c, n_k=n_k)
+        for j, q in enumerate(q_grid.values.tolist()):
+            expected[:, i, j] = (keldysh_green(w, q, c, th, sigma),
+                                 spectral_function(w, q, c, sigma), occupation(w, q, c, th, sigma))
+    assert same_bits(kmap.g_keldysh, expected[0])
+    assert same_bits(kmap.spectral, expected[1].real)
+    assert same_bits(kmap.occupation, expected[2].real)
+
+
+def denominators(omega_grid, q_grid, p, c, n_k):
+    """Re and Im of omega - omega_c - beta q^2 - Sigma^R + i eta on the grid."""
+    sigmas = [photon_self_energy(w, p, c, n_k=n_k) for w in omega_grid.values.tolist()]
+    d = np.array([[w - c.omega_c - c.mass_beta * q * q - s + 1j * c.eta
+                   for q in q_grid.values.tolist()]
+                  for w, s in zip(omega_grid.values.tolist(), sigmas)])
+    return d.real, d.imag
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t2=st.floats(0.1, 2.5).filter(lambda t2: abs(t2 - 1.0) > 0.05),
+    eta=st.floats(1e-4, 2.0),
+    g=st.floats(0.0, 2.0),
+    mass_beta=st.floats(0.0, 3.0),
+    temperature=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    omega_c=st.floats(0.1, 6.0),
+    start=st.floats(1e-3, 6.0),
+    width=st.floats(1e-3, 4.0),
+    q_start=st.floats(-3.0, 2.0),
+    q_width=st.floats(1e-3, 3.0),
+    omega_count=st.integers(2, 5),
+    q_count=st.integers(2, 4),
+)
+def test_keldysh_map_is_the_pointwise_chain_bit_for_bit(
+    t2, eta, g, mass_beta, temperature, omega_c, start, width, q_start, q_width,
+    omega_count, q_count,
+):
+    """On random chains, couplings, linewidths and temperatures, on and off
+    the cavity line, every cell equals the per-point scalar chain."""
+    p = SshParams(1.0, t2)
+    c = CavityParams(omega_c=omega_c, mass_beta=mass_beta, g=g, eta=eta)
+    assert_map_is_pointwise(FrequencyGrid(start, start + width, omega_count),
+                            FrequencyGrid(q_start, q_start + q_width, q_count),
+                            p, c, ThermalState(temperature), n_k=64)
+
+
+@pytest.mark.parametrize("th", [COLD, WARM])
+def test_keldysh_map_is_pointwise_in_both_quotient_branches(th):
+    """A broad line (eta = 0.5) around the cavity frequency puts some cells at
+    |Re d| < |Im d|, the second branch of the quotient, and the rest in the
+    first; both are bit for bit."""
+    c = CavityParams(omega_c=2.0, mass_beta=0.5, g=0.3, eta=0.5)
+    omega_grid, q_grid = FrequencyGrid(0.5, 3.5, 7), FrequencyGrid(-2.0, 2.0, 5)
+    d_re, d_im = denominators(omega_grid, q_grid, TOPO, c, n_k=128)
+    second = np.abs(d_re) < np.abs(d_im)
+    assert second.any() and not second.all()
+    assert_map_is_pointwise(omega_grid, q_grid, TOPO, c, th, n_k=128)

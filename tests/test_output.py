@@ -119,19 +119,51 @@ def test_write_csv_constant_column_with_percent_spans_blocks(tmp_path):
     assert written(path) == expected.encode()
 
 
+def test_write_csv_text_column_prints_verbatim_across_blocks(tmp_path):
+    """A list of str prints each cell as given, %, commas of its own and
+    spellings "%.17g" would not make included, in every block."""
+    path = tmp_path / "text.csv"
+    step = output._BLOCK_CELLS // 3  # rows per block with three varying columns
+    x = np.arange(2 * step + 5) * 0.1
+    words = ["1.50", "100%", "%s", "-0", "a,b", "1e+00", ""]
+    text = [words[i % len(words)] for i in range(x.size)]
+    write_csv(str(path), "x,w,tag,y", (x, text, "const", -x))
+    expected = "x,w,tag,y\n" + "".join(
+        f"{format_cell(v)},{t},const,{format_cell(-v)}\n" for v, t in zip(x, text)
+    )
+    assert written(path) == expected.encode()
+
+
+def test_write_csv_text_columns_alone_and_as_tuples(tmp_path):
+    path = tmp_path / "words.csv"
+    write_csv(str(path), "a,b", (("x", "y"), ["0.1", "nan"]))
+    assert written(path) == b"a,b\nx,0.1\ny,nan\n"
+
+
+def test_write_csv_rejects_a_text_column_of_the_wrong_length_before_opening(tmp_path):
+    path = tmp_path / "short_text.csv"
+    for text in (["a"] * 15, ["a"] * 17):
+        with pytest.raises(ValueError):
+            write_csv(str(path), "x,w", (np.zeros(16), text))
+        assert not path.exists()
+    with pytest.raises(ValueError):
+        write_csv(str(path), "v,w", (["a", "b"], ["c"]))
+    assert not path.exists()
+
+
 def test_write_csv_memory_does_not_grow_with_the_row_count(tmp_path):
-    """numpy reports its buffers to tracemalloc; the float64 columns are the
-    caller's, so the writer holds one block at most. Every line has one
-    width, so every full block is the same text."""
+    """numpy reports its buffers to tracemalloc; the float64 and text columns
+    are the caller's, so the writer holds one block at most. Every line has
+    one width, so every full block is the same text."""
     peaks = []
     for rows in (50_000, 400_000):
         columns = (np.full(rows, 0.1), np.full(rows, -math.pi), np.full(rows, 1e300),
-                   "const %")
+                   "const %", ["0.5", "2.5"] * (rows // 2))
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            write_csv(str(tmp_path / "tall.csv"), "a,b,c,d", columns)
+            write_csv(str(tmp_path / "tall.csv"), "a,b,c,d,e", columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:
