@@ -3,6 +3,8 @@
 The retarded self-energy is the momentum-integrated interband bubble
 Sigma^R(omega) = g^2 (1/2pi) int dk |mu(k)|^2 / (omega - Delta(k) + i eta);
 setting g = 1 recovers the bare-bubble normalization of the dressed spectra.
+`_propagator_parts` is `dressed_propagator` on float arrays, each cell rounded
+as the scalar call by `numerics._py_quotient`, for the Keldysh and band maps.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError
 from .lattice import band_gap, dipole
-from .numerics import pairwise_sum, zone_trapezoid
+from .numerics import _py_quotient, pairwise_sum, zone_trapezoid
 from .params import CavityParams, FrequencyGrid, SshParams
 
 
@@ -101,49 +103,6 @@ def dressed_propagator(omega: float, q: float, c: CavityParams, sigma: complex) 
     """Retarded cavity propagator 1/(omega - omega_c - beta q^2 - Sigma^R + i eta),
     with Sigma^R = `sigma` the self-energy at omega; elementwise on arrays."""
     return 1.0 / (omega - c.omega_c - c.mass_beta * q * q - sigma + 1j * c.eta)
-
-
-# CPython rounds a complex * or / of Python numbers as plain double operations
-# (Objects/complexobject.c), so float ufuncs on the real and imaginary parts
-# reproduce it bit for bit. numpy's complex *arrays* do not: their multiply
-# may contract to fma. The maps below therefore work on float parts only.
-
-
-def _py_product(a_re, a_im, b_re, b_im):
-    """Parts of a * b as CPython's `_Py_c_prod` rounds them; numpy's complex
-    scalar product uses the same formula. A float operand x is (x, 0.0)."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _py_square(x):
-    """x ** 2 as Python's float ** rounds it: libm pow, which np.float_power
-    calls. np.square and np.power(x, 2) multiply x * x, which differs in the
-    last bit for about one float in 1,300. Where the square of a finite x
-    overflows, Python raises OverflowError and this gives inf."""
-    return np.float_power(x, 2.0)
-
-
-def _py_quotient(a_re, a_im, b_re, b_im):
-    """Parts of a / b as CPython's `_Py_c_quot` rounds them, on float arrays.
-
-    Smith's division with two divides: scale by the part of b of larger
-    magnitude. A nan in b gives nan parts, and a zero b raises
-    ZeroDivisionError, as Python's `/` does.
-    """
-    b_re, b_im = np.asarray(b_re, dtype=float), np.asarray(b_im, dtype=float)
-    by_re = np.abs(b_re) >= np.abs(b_im)
-    large = np.where(by_re, b_re, b_im)
-    if np.any(large == 0.0):
-        raise ZeroDivisionError("complex division by zero")
-    small = np.where(by_re, b_im, b_re)
-    ratio = small / large
-    denom = large + small * ratio  # b_re * ratio + b_im in the second branch
-    re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
-    im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
-    unordered = np.isnan(b_re) | np.isnan(b_im)
-    if np.any(unordered):
-        re, im = np.where(unordered, np.nan, re), np.where(unordered, np.nan, im)
-    return re, im
 
 
 def _propagator_parts(omega, q, c: CavityParams, sigma_re=0.0, sigma_im=0.0):

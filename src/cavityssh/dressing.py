@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import _propagator_parts, _py_product, _py_square
+from .cavity import _propagator_parts
 from .lattice import band_gap, dipole
+from .numerics import _py_product, _py_square
 from .params import CavityParams, SshParams
 
 
@@ -37,8 +38,8 @@ def dressed_band_sweep(
 
     Each k rounds as the scalar chain g**2 * mu * mu * G_cav(omega - Delta)
     and sqrt((Delta/2)**2 + abs(Sigma_cv)**2) of Python floats and complex
-    rounds it: the product on float parts (`cavity._py_product`), abs as
-    np.hypot and each square by `cavity._py_square`. `onshell` probes each k
+    rounds it: the product on float parts (`numerics._py_product`), abs as
+    np.hypot and each square by `numerics._py_square`. `onshell` probes each k
     at omega = Delta(k)/2, otherwise every k at the fixed `omega`.
     """
     ks = np.asarray(ks, dtype=float)

@@ -14,7 +14,6 @@ from .biphoton import entropy_scan, input_state, scattered_pair
 from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import RunConfig
 from .dressing import dressed_band_sweep
-from .errors import BelowThresholdError
 from .keldysh import keldysh_map
 from .kerr import KerrResult, kerr_scan
 from .lattice import (
@@ -124,14 +123,12 @@ def _run_saddle(cfg: RunConfig, log):
     omegas = cfg.omega_grid.values
     nan = float("nan")
     values = np.full((omegas.size, omegas.size), complex(nan, nan))
-    below = 0
-    points = omegas.tolist()
-    for i, w1 in enumerate(points):
-        for j, w2 in enumerate(points):
-            try:
-                values[i, j] = gamma4_stationary(w1, w2, cfg.kernel, edge, cfg.cavity.eta)
-            except BelowThresholdError:
-                below += 1
+    # the grid ascends, so the cells at or above the edge form one square block
+    first = int(np.searchsorted(omegas, edge.delta0))
+    above = omegas[first:]
+    values[first:, first:] = gamma4_stationary(above[:, None], above, cfg.kernel, edge,
+                                               cfg.cavity.eta)
+    below = values.size - above.size * above.size
     columns = (*_grid_columns(omegas, omegas), values.real.ravel(), values.imag.ravel(),
                "stationary")
     emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]

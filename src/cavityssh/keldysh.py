@@ -11,10 +11,10 @@ regulator is a zero-occupation spectator channel: it carries vacuum Keldysh
 noise 2 i eta |G^R|^2 (no thermal factor), so the ratio returns exactly 0 at
 T = 0 and approaches n_B from below as eta -> 0.
 
-`keldysh_map` evaluates G^K, A and n on an (omega, q) grid: Sigma^R, n_B and
-Sigma^K per omega as Python scalars, then every (omega, q) cell of a row
-block at once on float arrays, rounded as the per-point complex chain
-rounds it.
+`keldysh_map` evaluates G^K, A and n on an (omega, q) grid a row block at a
+time: n_B and Sigma^K for the block's omegas, then every (omega, q) cell of
+the block, all on float arrays (`numerics._py_product`), each rounded as the
+per-point complex chain of Python and numpy scalars rounds it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import _propagator_parts, _py_product, _py_square, self_energy_spectrum
+from .cavity import _propagator_parts, self_energy_spectrum
 from .errors import NonPositiveFrequencyError, ZeroSpectralWeightError
+from .numerics import _py_product, _py_square
 from .params import CavityParams, FrequencyGrid, SshParams, ThermalState
 
 _EXP_MAX = 700.0  # exp overflow guard; beyond this n_B underflows to 0 anyway
@@ -52,20 +53,11 @@ def bose_occupation(omega, th: ThermalState):
     return out if out.ndim else float(out)
 
 
-def _sigma_keldysh(sigma: complex, n_b: float) -> complex:
-    """Sigma^K = -2i Im Sigma^R (1 + 2 n_B) from Sigma^R and the bose factor."""
-    return -2j * sigma.imag * (1.0 + 2.0 * n_b)
-
-
-def _occupation_ratio(total_re, total_im, den_re, den_im):
-    """Re(total / den) as numpy's complex scalar division rounds it, for
-    |Re den| < |Im den|: Smith's division through one reciprocal,
-    scl = 1/(Im den + Re den r) with r = Re den / Im den. The denominator
-    -2i Im G^R has Re den = +0.0 exactly wherever Im G^R < 0, so the other
-    branch never runs."""
-    ratio = den_re / den_im
-    scale = 1.0 / (den_im + den_re * ratio)
-    return (total_re * ratio + total_im) * scale
+def _occupation_ratio(total_re, total_im, g_im):
+    """Re(total / d), d = -2i Im G^R, as numpy's complex scalar division rounds
+    it where Im G^R < 0: there Re d = +0.0 and Im d > 0, and Smith's division
+    (Re t r + Im t) / (Im d + Re d r) with r = Re d / Im d = 0 folds to this."""
+    return (total_re * 0.0 + total_im) * (1.0 / (-2.0 * g_im))
 
 
 def keldysh_map(
@@ -78,13 +70,15 @@ def keldysh_map(
 ) -> KeldyshMap:
     """G^K, A and n on the product grid.
 
-    Per omega: Sigma^R from one `self_energy_spectrum`, one n_B and one
-    Sigma^K; per (omega, q): one G^R, then G^K = (G^R Sigma^K) conj(G^R),
-    A = -Im G^R / pi and n = (1/2) ((G^K + 2i eta |G^R|^2) / (-2i Im G^R) - 1),
-    each rounded as the same expression of Python and numpy complex scalars
-    rounds it. Rows are evaluated a block of about _BLOCK_CELLS cells at a
-    time, on float parts (`cavity._py_product`), with |G^R|^2 as np.hypot
-    and `cavity._py_square`. Raises ZeroSpectralWeightError at the first
+    Per omega: Sigma^R from one `self_energy_spectrum`, n_B and
+    Sigma^K = -2i Im Sigma^R (1 + 2 n_B); per (omega, q): one G^R, then
+    G^K = (G^R Sigma^K) conj(G^R), A = -Im G^R / pi and
+    n = (1/2) ((G^K + 2i eta |G^R|^2) / (-2i Im G^R) - 1), each rounded as
+    the same expression of Python and numpy complex scalars rounds it. Rows
+    are evaluated a block of about _BLOCK_CELLS cells at a time, with one
+    `bose_occupation` call per block, on float parts (`numerics._py_product`),
+    with |G^R|^2 as np.hypot and `numerics._py_square` and the division by
+    `_occupation_ratio`. Raises ZeroSpectralWeightError at the first
     (omega, q), in row order, where Im G^R >= 0 and the occupation is
     undefined.
     """
@@ -100,8 +94,9 @@ def keldysh_map(
     for start in range(0, shape[0], step):
         rows = slice(start, start + step)
         w, sigma = omegas[rows], sigmas[rows]
-        sigma_k = np.array([_sigma_keldysh(s, bose_occupation(x, th))
-                            for x, s in zip(w.tolist(), sigma.tolist())])[:, None]
+        bath = 1.0 + 2.0 * bose_occupation(w, th)
+        # Sigma^K = -2j * Im Sigma^R * (1 + 2 n_B), one Python product at a time
+        sk_re, sk_im = _py_product(*_py_product(-0.0, -2.0, sigma.imag, 0.0), bath, 0.0)
         g_re, g_im = _propagator_parts(w[:, None], qs, c, sigma.real[:, None],
                                        sigma.imag[:, None])
         vanished = ~(g_im < 0)
@@ -110,12 +105,11 @@ def keldysh_map(
             raise ZeroSpectralWeightError(
                 f"spectral weight vanished at omega={w[i].item()}, q={qs[j].item()}"
             )
-        p_re, p_im = _py_product(g_re, g_im, sigma_k.real, sigma_k.imag)
+        p_re, p_im = _py_product(g_re, g_im, sk_re[:, None], sk_im[:, None])
         gk_re, gk_im = _py_product(p_re, p_im, g_re, -g_im)
         weight = _py_square(np.hypot(g_re, g_im))
         noise_re, noise_im = _py_product(noise.real, noise.imag, weight, 0.0)
-        den_re, den_im = _py_product(-0.0, -2.0, g_im, 0.0)  # -2j * Im G^R
-        ratio = _occupation_ratio(gk_re + noise_re, gk_im + noise_im, den_re, den_im)
+        ratio = _occupation_ratio(gk_re + noise_re, gk_im + noise_im, g_im)
         g_keldysh[rows].real = gk_re
         g_keldysh[rows].imag = gk_im
         spectral[rows] = -g_im / np.pi

@@ -1,7 +1,11 @@
-"""Shared numerical kernels: the zone quadrature, root finding, fits, SVD.
+"""Shared numerical kernels: the zone quadrature, root finding, fits, SVD, and
+the one layer that knows how pinned cells are rounded.
 
 All reductions go through a fixed left-to-right pairwise scheme so results are
-bitwise reproducible regardless of how callers chunk their work.
+bitwise reproducible regardless of how callers chunk their work. The `_py_*`
+replicas round a complex product, quotient or float square on float arrays as
+the Python scalar expression does; every array map pinned to a per-point
+scalar chain (`cavity`, `keldysh`, `dressing`, `vertex`) is built on them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,49 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
             a, n = here[: n - m], n - m
             here, there = there, here
     return a[0].copy() if a.ndim > 1 else a[0]
+
+
+# CPython rounds a complex * or / of Python numbers as plain double operations
+# (Objects/complexobject.c), so float ufuncs on the real and imaginary parts
+# reproduce it bit for bit. numpy's complex *arrays* do not: their multiply
+# may contract to fma. The replicas below therefore work on float parts only.
+
+
+def _py_product(a_re, a_im, b_re, b_im):
+    """Parts of a * b as CPython's `_Py_c_prod` rounds them; numpy's complex
+    scalar product uses the same formula. A float operand x is (x, 0.0)."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _py_square(x):
+    """x ** 2 as Python's float ** rounds it: libm pow, which np.float_power
+    calls. np.square and np.power(x, 2) multiply x * x, which differs in the
+    last bit for about one float in 1,300. Where the square of a finite x
+    overflows, Python raises OverflowError and this gives inf."""
+    return np.float_power(x, 2.0)
+
+
+def _py_quotient(a_re, a_im, b_re, b_im):
+    """Parts of a / b as CPython's `_Py_c_quot` rounds them, on float arrays.
+
+    Smith's division with two divides: scale by the part of b of larger
+    magnitude. A nan in b gives nan parts, and a zero b raises
+    ZeroDivisionError, as Python's `/` does.
+    """
+    b_re, b_im = np.asarray(b_re, dtype=float), np.asarray(b_im, dtype=float)
+    by_re = np.abs(b_re) >= np.abs(b_im)
+    large = np.where(by_re, b_re, b_im)
+    if np.any(large == 0.0):
+        raise ZeroDivisionError("complex division by zero")
+    small = np.where(by_re, b_im, b_re)
+    ratio = small / large
+    denom = large + small * ratio  # b_re * ratio + b_im in the second branch
+    re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+    im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    unordered = np.isnan(b_re) | np.isnan(b_im)
+    if np.any(unordered):
+        re, im = np.where(unordered, np.nan, re), np.where(unordered, np.nan, im)
+    return re, im
 
 
 def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:

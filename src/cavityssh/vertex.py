@@ -14,7 +14,7 @@ import numpy as np
 from .cavity import BubbleTable
 from .errors import BelowThresholdError, ZeroRangeError
 from .lattice import BandEdgeParams, edge_momentum_map
-from .numerics import pairwise_sum
+from .numerics import _py_product, _py_square, pairwise_sum
 from .params import CavityParams, InteractionKernel, SshParams
 
 
@@ -49,38 +49,38 @@ def gamma4_direct_grid(
     return np.stack([pairwise_sum(row * bvecs, axis=-1) / scale for row in inner])
 
 
-def gamma4_stationary(
-    omega1: float,
-    omega2: float,
-    kern: InteractionKernel,
-    edge: BandEdgeParams,
-    eta: float,
-) -> complex:
+def gamma4_stationary(omega1, omega2, kern: InteractionKernel, edge: BandEdgeParams,
+                      eta: float):
     """Band-edge stationary-phase vertex
 
     A^4 v0 (q1* q2*)^2 exp(-zeta (q1* - q2*)^2) sqrt(2pi/zeta)
-        / ((omega1 - delta0 + i eta)(omega2 - delta0 + i eta)).
+        / ((omega1 - delta0 + i eta)(omega2 - delta0 + i eta)),
+
+    elementwise on omega1 and omega2 broadcast together (a complex for two
+    floats), each element rounded as that formula of Python scalars rounds it:
+    squares by `numerics._py_square`, the denominator by `_py_product`.
 
     Only the shape is meaningful relative to gamma4_direct_grid (the absolute
     normalization of the saddle measure is not pinned); zeta = 0 has no
     stationary width and is rejected. A frequency below delta0 has no real
-    stationary momentum: BelowThresholdError names the offending argument.
+    stationary momentum: BelowThresholdError names the argument(s) below it.
     """
     if kern.zeta == 0:
         raise ZeroRangeError("stationary-phase form undefined for zeta = 0")
-    below = [omega1 < edge.delta0, omega2 < edge.delta0]
+    omega1, omega2 = np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float)
+    below = [bool(np.any(omega1 < edge.delta0)), bool(np.any(omega2 < edge.delta0))]
     if any(below):
         which = "both" if all(below) else ("omega1" if below[0] else "omega2")
         raise BelowThresholdError(
             f"frequency below the band edge delta0 = {edge.delta0}", which=which
         )
-    q1, q2 = edge_momentum_map([omega1, omega2], edge).tolist()
-    amplitude = (
-        edge.dipole_slope**4
-        * kern.v0
-        * (q1 * q2) ** 2
-        * np.exp(-kern.zeta * (q1 - q2) ** 2)
-        * np.sqrt(2.0 * np.pi / kern.zeta)
-    )
-    denom = (omega1 - edge.delta0 + 1j * eta) * (omega2 - edge.delta0 + 1j * eta)
-    return complex(amplitude / denom)
+    q1, q2 = edge_momentum_map(omega1, edge), edge_momentum_map(omega2, edge)
+    amplitude = (edge.dipole_slope**4 * kern.v0 * _py_square(q1 * q2)
+                 * np.exp(-kern.zeta * _py_square(q1 - q2)) * np.sqrt(2.0 * np.pi / kern.zeta))
+    shift = 1j * eta  # a float plus a complex adds part by part
+    d_im = 0.0 + shift.imag
+    denom = np.empty(np.broadcast(omega1, omega2).shape, dtype=complex)
+    denom.real, denom.imag = _py_product(omega1 - edge.delta0 + shift.real, d_im,
+                                         omega2 - edge.delta0 + shift.real, d_im)
+    value = amplitude / denom
+    return value if value.ndim else complex(value)

@@ -4,10 +4,11 @@ No command reaches these; the tests hold each sweep to them:
 `self_energy_spectrum` to `photon_self_energy`, `spectral_map` to
 `spectral_function`, `keldysh_map` to `keldysh_green` and `occupation`,
 `dressed_band_sweep` to `sigma_matrix` and `dressed_bands`,
-`gamma4_direct_grid` to `gamma4_direct`, `BubbleTable` to `bz_integrate`, and
-the Kramers-Kronig checks to `principal_value`. Each one computes a single
-point (or a single integral) the plain way, with Python's complex scalars,
-from the library's public kernels and private formulas. `_green_keldysh`,
+`gamma4_direct_grid` to `gamma4_direct`, `gamma4_stationary` on arrays to
+`gamma4_saddle`, `BubbleTable` to `bz_integrate`, and the Kramers-Kronig
+checks to `principal_value`. Each one computes a single point (or a single
+integral) the plain way, with Python's complex scalars, from the library's
+public kernels and private formulas. `_sigma_keldysh`, `_green_keldysh`,
 `_occupation_from` and `_dressed_radius` are the per-point formulas that
 `keldysh_map` and `dressed_band_sweep` evaluate on arrays, rounding as these
 do.
@@ -22,8 +23,8 @@ import numpy as np
 
 from cavityssh.cavity import BubbleTable, CavityParams, dressed_propagator
 from cavityssh.errors import CavitySshError, NonFiniteSampleError, ZeroSpectralWeightError
-from cavityssh.keldysh import ThermalState, _sigma_keldysh, bose_occupation
-from cavityssh.lattice import SshParams, band_gap, dipole
+from cavityssh.keldysh import ThermalState, bose_occupation
+from cavityssh.lattice import BandEdgeParams, SshParams, band_gap, dipole, edge_momentum_map
 from cavityssh.numerics import pairwise_sum, zone_trapezoid
 from cavityssh.vertex import InteractionKernel, _kernel_matrix
 
@@ -137,6 +138,11 @@ def spectral_function(omega: float, q: float, c: CavityParams, sigma: complex) -
     return -dressed_propagator(omega, q, c, sigma).imag / np.pi
 
 
+def _sigma_keldysh(sigma: complex, n_b: float) -> complex:
+    """Sigma^K = -2i Im Sigma^R (1 + 2 n_B) from Sigma^R and the bose factor."""
+    return -2j * sigma.imag * (1.0 + 2.0 * n_b)
+
+
 def _green_keldysh(g_r: complex, sigma_k: complex):
     """G^K = G^R Sigma^K G^A with G^A = conj(G^R)."""
     return g_r * sigma_k * np.conj(g_r)
@@ -198,6 +204,24 @@ def gamma4_direct(
     v = _kernel_matrix(table.nodes, kern)
     inner = pairwise_sum(v * table.samples(b)[None, :], axis=1)
     return complex(pairwise_sum(table.samples(a) * inner) / (2.0 * np.pi) ** 2)
+
+
+def gamma4_saddle(
+    omega1: float, omega2: float, kern: InteractionKernel, edge: BandEdgeParams, eta: float
+) -> complex:
+    """The stationary-phase vertex at one pair of frequencies at or above
+    delta0, as Python floats and complex: the reference for
+    gamma4_stationary on arrays."""
+    q1, q2 = edge_momentum_map([omega1, omega2], edge).tolist()
+    amplitude = (
+        edge.dipole_slope**4
+        * kern.v0
+        * (q1 * q2) ** 2
+        * np.exp(-kern.zeta * (q1 - q2) ** 2)
+        * np.sqrt(2.0 * np.pi / kern.zeta)
+    )
+    denom = (omega1 - edge.delta0 + 1j * eta) * (omega2 - edge.delta0 + 1j * eta)
+    return complex(amplitude / denom)
 
 
 # ---------------------------------------------------------------- electrons

@@ -25,9 +25,9 @@ from cavityssh import (
     spectral_map,
     zone_trapezoid,
 )
-from cavityssh.cavity import _propagator_parts, _py_product, _py_quotient, _py_square
+from cavityssh.cavity import _propagator_parts
 from cavityssh.errors import NonFiniteSampleError
-from cavityssh.numerics import pairwise_sum
+from cavityssh.numerics import _py_product, _py_quotient, _py_square, pairwise_sum
 from reference import bz_integrate, photon_self_energy, principal_value, spectral_function
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]

@@ -20,6 +20,7 @@ from cavityssh import (
     keldysh_map,
 )
 from cavityssh.keldysh import _occupation_ratio
+from cavityssh.numerics import _py_product
 from reference import keldysh_green, occupation, photon_self_energy, spectral_function
 
 TOPO = SshParams(1.0, 1.5)
@@ -221,15 +222,19 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.5, 1e300, -1e300, math.inf, -math
 
 
 def test_occupation_ratio_rounds_as_numpy_scalar_division():
-    """Re(t / d) for every t and d of SPECIAL values with |Re d| < |Im d|,
-    against numpy's complex scalar division as the occupation calls it."""
-    cases = [(t_re, t_im, d_re, d_im)
-             for t_re, t_im, d_re, d_im in itertools.product(SPECIAL, repeat=4)
-             if abs(d_re) < abs(d_im)]
-    t_re, t_im, d_re, d_im = np.array(cases).T.copy()
+    """Re(t / d) for every t of SPECIAL values and every denominator
+    d = -2i Im G^R that keldysh_map forms from a finite SPECIAL Im G^R < 0
+    (Re d = +0.0, Im d > 0), against numpy's complex scalar division as the
+    occupation calls it."""
+    cases = [(t_re, t_im, g_im) for t_re, t_im, g_im in itertools.product(SPECIAL, repeat=3)
+             if -math.inf < g_im < 0]
+    t_re, t_im, g_im = np.array(cases).T.copy()
+    d_re, d_im = _py_product(-0.0, -2.0, g_im, 0.0)  # -2j * Im G^R
+    assert same_bits(d_re, np.zeros_like(d_re)) and np.all(d_im > 0)
     with np.errstate(all="ignore"):
-        got = _occupation_ratio(t_re, t_im, d_re, d_im)
-        expected = [(np.complex128(complex(a, b)) / complex(c, d)).real for a, b, c, d in cases]
+        got = _occupation_ratio(t_re, t_im, g_im)
+        expected = [(np.complex128(complex(a, b)) / complex(c, d)).real
+                    for (a, b, _), c, d in zip(cases, d_re.tolist(), d_im.tolist())]
     assert same_bits(got, expected)
 
 

@@ -39,6 +39,9 @@ UNREACHED = {
     "__init__.py:__getattr__",
     # raised only when a Newton ladder diverges, which no command config forces
     "errors.py:NoConvergenceError.__init__",
+    # raised only for a frequency below the band edge; `saddle` evaluates the
+    # vertex on the part of its grid at or above the edge alone
+    "errors.py:BelowThresholdError.__init__",
 }
 
 

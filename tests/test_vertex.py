@@ -3,6 +3,8 @@ stationary-phase oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavityssh import (
     BelowThresholdError,
@@ -18,7 +20,7 @@ from cavityssh import (
     pairwise_sum,
 )
 from cavityssh.vertex import _kernel_matrix
-from reference import gamma4_direct
+from reference import gamma4_direct, gamma4_saddle
 
 TRIVIAL = SshParams(1.0, 0.5)  # Delta0 = 1
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
@@ -139,6 +141,51 @@ def test_stationary_vertex_at_the_edge_is_zero(omega1, omega2):
     (BELOW, ABOVE, "omega1"), (ABOVE, BELOW, "omega2"), (BELOW, BELOW, "both"),
 ])
 def test_stationary_vertex_one_ulp_below_the_edge_raises(omega1, omega2, which):
+    with pytest.raises(BelowThresholdError) as info:
+        gamma4_stationary(omega1, omega2, InteractionKernel(1.0, 5.0), EDGE, eta=1e-2)
+    assert info.value.which == which
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 3.0)),
+    v0=st.floats(-3.0, 3.0),
+    zeta=st.floats(1e-2, 1e2),
+    eta=st.floats(1e-6, 1.0),
+    depth=st.floats(0.0, 1.0),
+    height=st.floats(1e-3, 2.0),
+    count=st.integers(2, 24),
+)
+# a square of ~14,000 cells, where x * x misses x ** 2 (libm pow) a few times
+@example(ratio=0.5, v0=1.3, zeta=10.0, eta=0.02, depth=0.3, height=1.0, count=120)
+def test_stationary_vertex_on_arrays_equals_the_scalar_chain(ratio, v0, zeta, eta, depth,
+                                                             height, count):
+    """On the part of a grid across delta0 at or above it, with delta0 itself
+    in front, the broadcast call equals the scalar call and the Python chain
+    of `gamma4_saddle` at every cell, as int64 words."""
+    edge = band_edge_params(SshParams(1.0, ratio))
+    kern = InteractionKernel(v0, zeta)
+    grid = np.linspace(edge.delta0 - depth, edge.delta0 + height, count)
+    omegas = np.append(edge.delta0, grid[grid >= edge.delta0])
+    values = gamma4_stationary(omegas[:, None], omegas, kern, edge, eta)
+    points = omegas.tolist()
+    scalar = np.array([[gamma4_stationary(w1, w2, kern, edge, eta) for w2 in points]
+                       for w1 in points])
+    chain = np.array([[gamma4_saddle(w1, w2, kern, edge, eta) for w2 in points]
+                      for w1 in points])
+    assert values.shape == (len(points), len(points))
+    assert np.array_equal(values.view(np.int64), scalar.view(np.int64))
+    assert np.array_equal(values.view(np.int64), chain.view(np.int64))
+    assert np.all(values[0] == 0) and np.all(values[:, 0] == 0)
+
+
+@pytest.mark.parametrize("omega1, omega2, which", [
+    ([ABOVE, BELOW, ABOVE], ABOVE, "omega1"),
+    (ABOVE, [ABOVE, ABOVE, BELOW], "omega2"),
+    (np.array([[ABOVE], [BELOW]]), np.array([BELOW, ABOVE]), "both"),
+])
+def test_stationary_vertex_on_arrays_raises_for_one_element_below_the_edge(omega1, omega2,
+                                                                          which):
     with pytest.raises(BelowThresholdError) as info:
         gamma4_stationary(omega1, omega2, InteractionKernel(1.0, 5.0), EDGE, eta=1e-2)
     assert info.value.which == which
