@@ -13,79 +13,110 @@ import numpy as np
 
 from .errors import NonFiniteSampleError
 from .lattice import band_gap, dipole
-from .numerics import _py_quotient, pairwise_sum, zone_trapezoid
+from .numerics import _py_quotient, _reduce_in_place, reduction_order, zone_trapezoid
 from .params import CavityParams, FrequencyGrid, SshParams
 
 
 class BubbleTable:
     """The Brillouin zone of the interband bubble, built once per (p, eta, n_k).
 
-    Holds the trapezoid nodes, the gap Delta(k) and the weighted |mu(k)|^2 at
-    each node; the self-energy, the Kerr ladder and the vertex all sum over it.
-    The zone is `zone_trapezoid`'s, summed pairwise; the weight multiplies
-    |mu|^2 before the division, so a sum agrees with the plain weighted
-    trapezoid of the same integrand up to rounding, not bit for bit.
+    The zone is `zone_trapezoid`'s, stored in `numerics.reduction_order`, the
+    order in which the pairwise sum consumes it: -Delta(k) as a complex array
+    whose imaginary part is -0.0, and the weighted |mu(k)|^2 precast to
+    complex. `integral` adds omega + i eta to -Delta in one contiguous complex
+    add, squares the result for power 2, divides the weights by it and halves
+    it in place (`numerics._reduce_in_place`): one zone-sized buffer, no
+    scratch pair, no float-to-complex cast, no strided round.
 
-    `samples` returns a fresh array the caller may keep. `integral` writes
-    the samples and the pairwise rounds into a scratch pair that the table
-    keeps, made on its first call, so repeated integrals allocate no
-    zone-sized array. Every command calls a table from one thread, so a
-    table holds one pair; an integral that overlaps another takes a pair of
-    its own rather than share one.
+    That is `pairwise_sum` of the natural-order samples
+    w |mu|^2 / (omega - Delta + i eta)^power, bit for bit: -Delta + Re omega
+    rounds as Re omega - Delta, -0.0 is the identity of the imaginary add,
+    the square and the division see the same complex operands, and each
+    round adds the same two numbers, because IEEE addition commutes. The
+    weight multiplies |mu|^2 before the division, so a sum agrees with the
+    plain weighted trapezoid of the same integrand up to rounding, not bit
+    for bit.
+
+    Idle zone-sized buffers wait in a pool: an integral pops one, or
+    allocates its own when overlapping integrals hold them all, so repeated
+    integrals allocate no zone-sized array and concurrent ones never share a
+    buffer. `_nodes` and `_samples` give reduction order, as `vertex` reads
+    the zone; `nodes` and `samples` give node order, as fresh arrays.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int):
-        self.nodes, weights = zone_trapezoid(n_k)
+        self.n_k = n_k
         self.eta = float(eta)
-        self.delta = np.asarray(band_gap(self.nodes, p))
-        self.weighted_mu2 = weights * np.asarray(dipole(self.nodes, p)) ** 2
-        self._scratch = []  # the idle scratch pairs of `integral`
+        nodes = self._nodes
+        self._neg_delta = np.negative(band_gap(nodes, p), dtype=complex)
+        weighted_mu2 = dipole(nodes, p)
+        weighted_mu2 **= 2
+        # asked for only now, so the build does not hold them; they need no
+        # gather, see _nodes
+        weighted_mu2 *= zone_trapezoid(n_k)[1]
+        self._weights = weighted_mu2.astype(complex)
+        self._idle = []  # zone-sized buffers no integral is using
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The trapezoid nodes in node order."""
+        return zone_trapezoid(self.n_k)[0]
+
+    @property
+    def _nodes(self) -> np.ndarray:
+        """The trapezoid nodes in reduction order, as the table stores its
+        zone. The order keeps both half-weight ends in place and the interior
+        weights are equal, so the weights need no gather."""
+        return self.nodes[reduction_order(self.n_k + 1)]
 
     def _weighted(self, omega: complex, power: int, out: np.ndarray) -> np.ndarray:
-        """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` and return it.
+        """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` in
+        reduction order and return it.
 
-        The in-place ufuncs round exactly as the expression
-        w / (omega - Delta + 1j eta)**power: the real part of the denominator
-        is a float subtraction and its imaginary part Im(omega) + eta, as in
-        the complex expression, but Delta is never cast to complex. Power 2
-        goes through np.square, because np.power(x, 2) differs from x**2 in
-        the last bit. The samples are not checked for nan/inf here.
+        Power 2 goes through np.square, because np.power(x, 2) differs from
+        x**2 in the last bit. The samples are not checked for nan/inf here.
         """
         omega = complex(omega)
-        np.subtract(omega.real, self.delta, out=out.real)
-        out.imag = omega.imag + self.eta
+        np.add(self._neg_delta, complex(omega.real, omega.imag + self.eta), out=out)
         if power == 2:
             np.square(out, out=out)
         elif power != 1:
             np.power(out, power, out=out)
-        np.divide(self.weighted_mu2, out, out=out)
+        np.divide(self._weights, out, out=out)
         return out
 
-    def samples(self, omega: complex, power: int = 1) -> np.ndarray:
-        """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power."""
-        samples = self._weighted(omega, power, np.empty(self.delta.size, dtype=complex))
-        if not np.all(np.isfinite(samples)):
+    def _samples(self, omega: complex, power: int = 1) -> np.ndarray:
+        """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power, in
+        reduction order."""
+        ordered = self._weighted(omega, power, np.empty(self._weights.size, dtype=complex))
+        if not np.all(np.isfinite(ordered)):
             raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        return ordered
+
+    def samples(self, omega: complex, power: int = 1) -> np.ndarray:
+        """`_samples` in node order, for library callers; no command reads it."""
+        ordered = self._samples(omega, power)
+        samples = np.empty_like(ordered)
+        samples[reduction_order(ordered.size)] = ordered
         return samples
 
     def integral(self, omega: complex, power: int = 1) -> complex:
         """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power.
 
         A nan or inf sample always makes the pairwise total non-finite, so the
-        samples are scanned only when the total is; NonFiniteSampleError is
-        raised exactly when a sample is non-finite, as in `samples`.
+        samples are rebuilt and scanned only when the total is;
+        NonFiniteSampleError is raised exactly when a sample is non-finite,
+        as in `samples`.
         """
         try:
-            samples, pair = self._scratch.pop()
+            buffer = self._idle.pop()
         except IndexError:  # the first call, or an overlapping one
-            size = self.delta.size
-            samples = np.empty(size, dtype=complex)
-            pair = np.empty((2, (size + 1) // 2), dtype=complex)
-        self._weighted(omega, power, samples)
-        total = pairwise_sum(samples, scratch=pair)
-        if not np.isfinite(total) and not np.all(np.isfinite(samples)):
+            buffer = np.empty(self._weights.size, dtype=complex)
+        total = _reduce_in_place(self._weighted(omega, power, buffer))
+        finite = np.isfinite(total) or np.all(np.isfinite(self._weighted(omega, power, buffer)))
+        self._idle.append(buffer)
+        if not finite:
             raise NonFiniteSampleError("bubble integrand produced nan/inf")
-        self._scratch.append((samples, pair))
         return complex(total / (2.0 * np.pi))
 
 

@@ -1,11 +1,15 @@
-"""Shared numerical kernels: the zone quadrature, root finding, fits, SVD, and
-the one layer that knows how pinned cells are rounded.
+"""Shared numerical kernels: the zone quadrature, the pairwise reduction, root
+finding, fits, SVD, and the one layer that knows how pinned cells are rounded.
 
-All reductions go through a fixed left-to-right pairwise scheme so results are
-bitwise reproducible regardless of how callers chunk their work. The `_py_*`
-replicas round a complex product, quotient or float square on float arrays as
-the Python scalar expression does; every array map pinned to a per-point
-scalar chain (`cavity`, `keldysh`, `dressing`, `vertex`) is built on them.
+Every reduction has one bracketing, repeated adjacent pairing, so results are
+bitwise reproducible regardless of how callers chunk their work. Zone sums
+keep their summands in `reduction_order`, where each round of that pairing is
+one contiguous in-place add (`_reduce_in_place`); `pairwise_sum` gathers its
+input into that order and runs the same rounds, so there is one reduction.
+The `_py_*` replicas round a complex product, quotient or float square on
+float arrays as the Python scalar expression does; every array map pinned to
+a per-point scalar chain (`cavity`, `keldysh`, `dressing`, `vertex`) is built
+on them.
 """
 
 from __future__ import annotations
@@ -18,19 +22,60 @@ from .errors import DegenerateDesignError, NoConvergenceError, NonFiniteEntryErr
 from .params import MIN_NK
 
 
-def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
+def reduction_order(n: int) -> np.ndarray:
+    """The permutation of range(n) that lays n summands out as `pairwise_sum`
+    consumes them.
+
+    A round of pairwise_sum adds a[2j] + a[2j + 1] for j < m = n // 2 and
+    carries an odd tail a[n - 1]. In x = a[reduction_order(n)], x[j] holds
+    a[2i] and x[m + j] holds a[2i + 1], and an odd tail sits at x[2m], so the
+    round is the contiguous add x[:m] += x[m:2m] with the tail moved to x[m];
+    x[:n - m] is then the next round's sums in its own reduction order. The
+    first and the last index stay in place. Built from the last round up, in
+    one array.
+    """
+    lengths = []
+    while n > 1:
+        lengths.append(n)
+        n -= n // 2
+    order = np.zeros(lengths[0] if lengths else n, dtype=np.intp)
+    for n in reversed(lengths):
+        m = n // 2
+        head = order[:m]
+        head *= 2
+        np.add(head, 1, out=order[m : 2 * m])
+        if n % 2:
+            order[2 * m] = n - 1
+    return order
+
+
+def _reduce_in_place(x: np.ndarray):
+    """Sum x along axis 0 in place, x laid out in `reduction_order`; returns x[0].
+
+    Each round is one contiguous add x[:m] += x[m:2m], and an odd tail moves
+    to x[m]. IEEE addition commutes, and the even-indexed summand is the
+    left operand as in pairwise_sum, so every partial sum is pairwise_sum's,
+    bit for bit. x must be non-empty; its contents are consumed, and for a
+    block the result is a view of x's first row.
+    """
+    n = x.shape[0]
+    while n > 1:
+        m = n // 2
+        x[:m] += x[m : 2 * m]
+        if n % 2:
+            x[m] = x[2 * m]
+        n -= m
+    return x[0]
+
+
+def pairwise_sum(values: np.ndarray, axis: int | None = None):
     """Sum by repeated adjacent pairing (deterministic reduction order).
 
     With axis=None the array is flattened first. An odd tail element is
     carried into the next round unchanged, so the bracketing is a pure
-    function of the input length.
-
-    The rounds alternate between two buffers, so a sum allocates nothing per
-    round. `scratch` is an optional pair of such buffers for a caller that
-    sums many arrays of one shape: each has the input's dtype, at least
-    (n + 1) // 2 entries along its first axis and then the input's other
-    axes in order. Without it the pair is allocated here. The result never
-    aliases the input or the scratch.
+    function of the input length. The summands are gathered once into
+    `reduction_order` and summed there in place; the result never aliases
+    the input.
     """
     a = np.asarray(values)
     if axis is None:
@@ -40,18 +85,8 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None, scratch=None):
     n = a.shape[0]
     if n == 0:
         return np.zeros(a.shape[1:], dtype=a.dtype) if a.ndim > 1 else a.dtype.type(0)
-    if n > 1:
-        if scratch is None:
-            scratch = np.empty((2, (n + 1) // 2, *a.shape[1:]), dtype=a.dtype)
-        here, there = scratch
-        while n > 1:
-            m = n // 2
-            np.add(a[0 : 2 * m : 2], a[1 : 2 * m : 2], here[:m])
-            if n % 2:
-                here[m] = a[n - 1]
-            a, n = here[: n - m], n - m
-            here, there = there, here
-    return a[0].copy() if a.ndim > 1 else a[0]
+    total = _reduce_in_place(a[reduction_order(n)])
+    return total.copy() if a.ndim > 1 else total
 
 
 # CPython rounds a complex * or / of Python numbers as plain double operations

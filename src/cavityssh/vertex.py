@@ -14,7 +14,7 @@ import numpy as np
 from .cavity import BubbleTable
 from .errors import BelowThresholdError, ZeroRangeError
 from .lattice import BandEdgeParams, edge_momentum_map
-from .numerics import _py_product, _py_square, pairwise_sum
+from .numerics import _py_product, _py_square, _reduce_in_place
 from .params import CavityParams, InteractionKernel, SshParams
 
 
@@ -34,19 +34,26 @@ def gamma4_direct_grid(
     """Double trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2
     on the square grid omegas x omegas (one zone, one kernel build).
 
-    Column k of the inner sums is one pairwise sum over k' of
-    v[k, k'] b_i[k'] for every omega_i at once, kernel first in each product;
-    pairwise_sum brackets each row as it brackets a single vector, so each
-    entry equals the double sum of its pair alone, bit for bit. No
-    zone-squared product is ever formed: the largest temporary is one
-    omega-by-zone product.
+    The zone is read in the table's `numerics.reduction_order`: the kernel on
+    its ordered nodes, and its ordered samples as one zone x omega block b.
+    Inner sum k is the block v[k, k'] b[k', i], kernel first in each product,
+    halved in place over k'; row i of the result is the block
+    inner[k, i] b[k, j], halved over k. Each halving brackets as
+    `pairwise_sum` does, so each entry equals the pairwise double sum of its
+    pair alone in node order, bit for bit. No zone-squared product is ever
+    formed: the largest temporary is one zone-by-omega block.
     """
     table = BubbleTable(p, c.eta, n_k)
-    v = _kernel_matrix(table.nodes, kern)
-    bvecs = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)])
-    inner = np.stack([pairwise_sum(v_k * bvecs, axis=-1) for v_k in v], axis=-1)
+    v = _kernel_matrix(table._nodes, kern)
+    b = np.stack([table._samples(w) for w in np.asarray(omegas, dtype=float)], axis=-1)
+    block, inner = np.empty_like(b), np.empty_like(b)
+    for v_k, sums in zip(v, inner):
+        sums[...] = _reduce_in_place(np.multiply(v_k[:, None], b, out=block))
     scale = (2.0 * np.pi) ** 2
-    return np.stack([pairwise_sum(row * bvecs, axis=-1) / scale for row in inner])
+    grid = np.empty((b.shape[1], b.shape[1]), dtype=complex)
+    for i, row in enumerate(grid):
+        np.divide(_reduce_in_place(np.multiply(inner[:, i, None], b, out=block)), scale, out=row)
+    return grid
 
 
 def gamma4_stationary(omega1, omega2, kern: InteractionKernel, edge: BandEdgeParams,

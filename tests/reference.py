@@ -5,10 +5,11 @@ No command reaches these; the tests hold each sweep to them:
 `spectral_function`, `keldysh_map` to `keldysh_green` and `occupation`,
 `dressed_band_sweep` to `sigma_matrix` and `dressed_bands`,
 `gamma4_direct_grid` to `gamma4_direct`, `gamma4_stationary` on arrays to
-`gamma4_saddle`, `BubbleTable` to `bz_integrate`, and the Kramers-Kronig
-checks to `principal_value`. Each one computes a single point (or a single
-integral) the plain way, with Python's complex scalars, from the library's
-public kernels and private formulas. `_sigma_keldysh`, `_green_keldysh`,
+`gamma4_saddle`, `BubbleTable` to `bz_integrate` (its zone in node order
+through `NodeOrderTable`), and the Kramers-Kronig checks to
+`principal_value`. Each one computes a single point (or a single integral)
+the plain way, with Python's complex scalars, from the library's public
+kernels and private formulas. `_sigma_keldysh`, `_green_keldysh`,
 `_occupation_from` and `_dressed_radius` are the per-point formulas that
 `keldysh_map` and `dressed_band_sweep` evaluate on arrays, rounding as these
 do.
@@ -25,7 +26,7 @@ from cavityssh.cavity import BubbleTable, CavityParams, dressed_propagator
 from cavityssh.errors import CavitySshError, NonFiniteSampleError, ZeroSpectralWeightError
 from cavityssh.keldysh import ThermalState, bose_occupation
 from cavityssh.lattice import BandEdgeParams, SshParams, band_gap, dipole, edge_momentum_map
-from cavityssh.numerics import pairwise_sum, zone_trapezoid
+from cavityssh.numerics import pairwise_sum, reduction_order, zone_trapezoid
 from cavityssh.vertex import InteractionKernel, _kernel_matrix
 
 
@@ -34,6 +35,27 @@ class PoleOnBoundaryError(CavitySshError):
 
 
 # ---------------------------------------------------------------- quadrature
+
+
+def in_node_order(ordered: np.ndarray) -> np.ndarray:
+    """A zone array stored in `reduction_order`, put back into node order."""
+    out = np.empty_like(ordered)
+    out[reduction_order(ordered.size)] = ordered
+    return out
+
+
+class NodeOrderTable(BubbleTable):
+    """A BubbleTable that also shows Delta(k) and the weighted |mu(k)|^2 in
+    node order, as fresh arrays. The library stores both only in reduction
+    order, as the complex summands of its zone sums."""
+
+    @property
+    def delta(self) -> np.ndarray:
+        return in_node_order(-self._neg_delta.real)
+
+    @property
+    def weighted_mu2(self) -> np.ndarray:
+        return in_node_order(self._weights.real)
 
 
 def _check_finite_samples(samples: np.ndarray, what: str) -> None:

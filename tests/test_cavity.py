@@ -28,7 +28,9 @@ from cavityssh import (
 from cavityssh.cavity import _propagator_parts
 from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import _py_product, _py_quotient, _py_square, pairwise_sum
-from reference import bz_integrate, photon_self_energy, principal_value, spectral_function
+from reference import (
+    NodeOrderTable, bz_integrate, photon_self_energy, principal_value, spectral_function,
+)
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
@@ -78,7 +80,7 @@ def test_bubble_table_is_the_bz_integrate_zone(t2, eta, omega, n_k, power):
     weight into |mu|^2 before dividing, so single samples can differ in the
     last bit."""
     p = SshParams(1.0, t2)
-    table = BubbleTable(p, eta, n_k)
+    table = NodeOrderTable(p, eta, n_k)
     nodes, weights = zone_trapezoid(n_k)
     assert table.nodes.tobytes() == nodes.tobytes()
     assert table.weighted_mu2.tobytes() == (weights * dipole(nodes, p) ** 2).tobytes()
@@ -97,7 +99,7 @@ _TABLES = {}
 def zone_table(n_k: int) -> BubbleTable:
     """One sharp-linewidth table per size, shared by the hypothesis examples."""
     if n_k not in _TABLES:
-        _TABLES[n_k] = BubbleTable(TOPO, SHARP.eta, n_k)
+        _TABLES[n_k] = NodeOrderTable(TOPO, SHARP.eta, n_k)
     return _TABLES[n_k]
 
 
@@ -196,6 +198,24 @@ def test_bubble_integral_allocates_no_zone_sized_array():
         if not was_tracing:
             tracemalloc.stop()
     assert peak < (n_k + 1) * 16 / 4
+
+
+def test_a_built_table_holds_at_most_three_and_a_half_mib():
+    """At n_k = 65536 a table holds its two complex zone arrays and, after its
+    first integral, one zone-sized buffer: 3 MiB, where the table it replaced
+    held 3.50 MiB. Natural-order copies kept beside the ordered ones would
+    show here."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = BubbleTable(TOPO, SHARP.eta, 65536)
+        table.integral(2.0, power=2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert held <= 3.5 * 2**20
 
 
 def test_self_energy_decoupled_limit():

@@ -18,7 +18,9 @@ from cavityssh import (
     zone_trapezoid,
 )
 from cavityssh.numerics import MIN_NK
-from cavityssh.numerics import polyfit_quadratic, svd_singular_values
+from cavityssh.numerics import (
+    _reduce_in_place, polyfit_quadratic, reduction_order, svd_singular_values,
+)
 from reference import PoleOnBoundaryError, bz_integrate, principal_value, simpson_integrate
 
 
@@ -89,20 +91,97 @@ def concatenating_pairwise_sum(a):
 @pytest.mark.parametrize("n", [1, 2, 3] + [2**k + 1 for k in range(1, 13)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_pairwise_sum_scratch_pair_changes_no_bit(n, dtype):
+    """The buffer a sum is halved in, a caller's own as `BubbleTable` keeps
+    one or the gather inside pairwise_sum, changes no bit of the reduction as
+    first written, and pairwise_sum never returns a view of its input."""
     rng = np.random.default_rng(n)
     m = rng.standard_normal((3, n)).astype(dtype)
     if dtype is np.complex128:
         m += 1j * rng.standard_normal((3, n))
+    order = reduction_order(n)
     for values, axis in ((m[1], None), (m, -1), (np.ascontiguousarray(m.T), 0)):
-        lead = values.shape[1:] if axis == 0 else values.shape[:-1]
-        scratch = np.full((2, (n + 1) // 2, *lead), np.nan, dtype=dtype)
+        summands = values.reshape(-1) if axis is None else np.moveaxis(values, axis, 0)
+        scratch = np.full(summands.shape, np.nan, dtype=dtype)
+        np.take(summands, order, axis=0, out=scratch)
         plain = pairwise_sum(values, axis=axis)
-        buffered = pairwise_sum(values, axis=axis, scratch=scratch)
+        buffered = _reduce_in_place(scratch)
         reference = concatenating_pairwise_sum(m[1] if axis is None else m)
         assert np.asarray(plain).tobytes() == np.asarray(reference).tobytes()
         assert np.asarray(buffered).tobytes() == np.asarray(reference).tobytes()
-        assert not np.shares_memory(buffered, scratch)
-        assert not np.shares_memory(buffered, values)
+        assert not np.shares_memory(plain, scratch)
+        assert not np.shares_memory(plain, values)
+
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+           1e300, -1e300)
+
+
+def words(x) -> list:
+    """The int64 words of a float or complex result, with every nan as one
+    word: IEEE 754 leaves open which sign and payload a sum of two nans
+    carries, and numpy's add loops pick them by stride and dispatch level,
+    for the reduction as first written too."""
+    parts = np.asarray(x).reshape(-1).view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.view(np.int64).tolist()
+
+
+@st.composite
+def summand_vectors(draw):
+    """Float or complex vectors of 1 to 70,000 summands spread over `spread`
+    decades, with special values (signed zeros, infinities, nan, subnormals,
+    +-1e300) dropped into some of their parts."""
+    n = draw(st.one_of(st.integers(1, 70_000), st.sampled_from([513, 4097, 65537])))
+    spread = draw(st.sampled_from([0, 8, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-spread, spread + 1, (2, n))
+    for i, re, im in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIAL),
+                                             st.sampled_from(SPECIAL)), max_size=8)):
+        parts[:, i] = re, im
+    if draw(st.booleans()):
+        return parts[0]
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = parts
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_vectors())
+def test_in_place_sum_in_reduction_order_is_the_pairwise_sum_word_for_word(values):
+    n = values.size
+    order = reduction_order(n)
+    assert order.dtype == np.intp
+    assert np.array_equal(np.sort(order), np.arange(n))
+    block = np.stack([values, values[::-1], -values], axis=1)  # sums down axis 0
+    with np.errstate(all="ignore"):
+        expected = words(concatenating_pairwise_sum(values))
+        assert words(_reduce_in_place(values[order])) == expected
+        assert words(pairwise_sum(values)) == expected
+        expected = words(concatenating_pairwise_sum(block.T))
+        assert words(_reduce_in_place(block[order])) == expected
+        assert words(pairwise_sum(block, axis=0)) == expected
+
+
+def test_reduction_order_on_every_length_to_300():
+    """A permutation that keeps both ends in place, and an in-place sum in
+    it that is the reduction as first written, word for word."""
+    rng = np.random.default_rng(23)
+    for n in [*range(301), 513, 4097, 65537]:
+        order = reduction_order(n)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        if n:
+            assert order[0] == 0 and order[-1] == n - 1
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected = words(concatenating_pairwise_sum(values))
+            assert words(_reduce_in_place(values[order])) == expected
+
+
+@pytest.mark.parametrize("n_k", [MIN_NK, 255, 4096, 65536])
+def test_the_trapezoid_weights_need_no_gather_into_reduction_order(n_k):
+    """The order fixes both half-weight ends and the interior weights are
+    equal, so `BubbleTable` gathers only the nodes."""
+    weights = zone_trapezoid(n_k)[1]
+    assert weights.tobytes() == weights[reduction_order(n_k + 1)].tobytes()
 
 
 def test_zone_trapezoid_is_the_closed_periodic_rule():
