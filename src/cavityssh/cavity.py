@@ -25,8 +25,8 @@ class BubbleTable:
     whose imaginary part is -0.0, and the weighted |mu(k)|^2 precast to
     complex. `integral` adds omega + i eta to -Delta in one contiguous complex
     add, squares the result for power 2, divides the weights by it and halves
-    it in place (`numerics._reduce_in_place`): one zone-sized buffer, no
-    scratch pair, no float-to-complex cast, no strided round.
+    it in place (`numerics._reduce_in_place`): no scratch pair, no
+    float-to-complex cast, no strided round.
 
     That is `pairwise_sum` of the natural-order samples
     w |mu|^2 / (omega - Delta + i eta)^power, bit for bit: -Delta + Re omega
@@ -37,86 +37,64 @@ class BubbleTable:
     plain weighted trapezoid of the same integrand up to rounding, not bit
     for bit.
 
-    Idle zone-sized buffers wait in a pool: an integral pops one, or
-    allocates its own when overlapping integrals hold them all, so repeated
-    integrals allocate no zone-sized array and concurrent ones never share a
-    buffer. `_nodes` and `_samples` give reduction order, as `vertex` reads
-    the zone; `nodes` and `samples` give node order, as fresh arrays.
+    A table serves one thread: every integral runs in the one zone-sized
+    buffer the table allocates when built. `nodes` and `samples` give the
+    zone in reduction order, as fresh arrays.
     """
 
     def __init__(self, p: SshParams, eta: float, n_k: int):
         self.n_k = n_k
         self.eta = float(eta)
-        nodes = self._nodes
+        nodes = self.nodes
         self._neg_delta = np.negative(band_gap(nodes, p), dtype=complex)
         weighted_mu2 = dipole(nodes, p)
         weighted_mu2 **= 2
         # asked for only now, so the build does not hold them; they need no
-        # gather, see _nodes
+        # gather, see nodes
         weighted_mu2 *= zone_trapezoid(n_k)[1]
         self._weights = weighted_mu2.astype(complex)
-        self._idle = []  # zone-sized buffers no integral is using
+        del nodes, weighted_mu2  # so that the buffer does not raise the build's peak
+        self._buffer = np.empty_like(self._weights)
 
     @property
     def nodes(self) -> np.ndarray:
-        """The trapezoid nodes in node order."""
-        return zone_trapezoid(self.n_k)[0]
-
-    @property
-    def _nodes(self) -> np.ndarray:
         """The trapezoid nodes in reduction order, as the table stores its
         zone. The order keeps both half-weight ends in place and the interior
         weights are equal, so the weights need no gather."""
-        return self.nodes[reduction_order(self.n_k + 1)]
+        return zone_trapezoid(self.n_k)[0][reduction_order(self.n_k + 1)]
 
     def _weighted(self, omega: complex, power: int, out: np.ndarray) -> np.ndarray:
-        """Write w |mu|^2 / (omega - Delta + i eta)^power into `out` in
-        reduction order and return it.
-
-        Power 2 goes through np.square, because np.power(x, 2) differs from
-        x**2 in the last bit. The samples are not checked for nan/inf here.
+        """Write w |mu|^2 / (omega - Delta + i eta)^power, power 1 or 2, into
+        `out` in reduction order and return it, unchecked for nan/inf. Power 2
+        is np.square, because np.power(x, 2) differs from x**2 in the last bit.
         """
         omega = complex(omega)
         np.add(self._neg_delta, complex(omega.real, omega.imag + self.eta), out=out)
         if power == 2:
             np.square(out, out=out)
         elif power != 1:
-            np.power(out, power, out=out)
+            raise ValueError(f"bubble power must be 1 or 2, got {power}")
         np.divide(self._weights, out, out=out)
         return out
 
-    def _samples(self, omega: complex, power: int = 1) -> np.ndarray:
-        """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power, in
-        reduction order."""
-        ordered = self._weighted(omega, power, np.empty(self._weights.size, dtype=complex))
-        if not np.all(np.isfinite(ordered)):
-            raise NonFiniteSampleError("bubble integrand produced nan/inf")
-        return ordered
-
     def samples(self, omega: complex, power: int = 1) -> np.ndarray:
-        """`_samples` in node order, for library callers; no command reads it."""
-        ordered = self._samples(omega, power)
-        samples = np.empty_like(ordered)
-        samples[reduction_order(ordered.size)] = ordered
+        """Weighted zone samples w |mu|^2 / (omega - Delta + i eta)^power, in
+        reduction order, as a fresh array."""
+        samples = self._weighted(omega, power, np.empty_like(self._weights))
+        if not np.all(np.isfinite(samples)):
+            raise NonFiniteSampleError("bubble integrand produced nan/inf")
         return samples
 
     def integral(self, omega: complex, power: int = 1) -> complex:
         """(1/2pi) int dk |mu|^2 / (omega - Delta + i eta)^power.
 
-        A nan or inf sample always makes the pairwise total non-finite, so the
-        samples are rebuilt and scanned only when the total is;
-        NonFiniteSampleError is raised exactly when a sample is non-finite,
-        as in `samples`.
+        A nan or inf sample always makes the pairwise total non-finite, so
+        `samples` rebuilds and scans the samples only when the total is, and
+        raises NonFiniteSampleError exactly when a sample is non-finite.
         """
-        try:
-            buffer = self._idle.pop()
-        except IndexError:  # the first call, or an overlapping one
-            buffer = np.empty(self._weights.size, dtype=complex)
-        total = _reduce_in_place(self._weighted(omega, power, buffer))
-        finite = np.isfinite(total) or np.all(np.isfinite(self._weighted(omega, power, buffer)))
-        self._idle.append(buffer)
-        if not finite:
-            raise NonFiniteSampleError("bubble integrand produced nan/inf")
+        total = _reduce_in_place(self._weighted(omega, power, self._buffer))
+        if not np.isfinite(total):
+            self.samples(omega, power)
         return complex(total / (2.0 * np.pi))
 
 

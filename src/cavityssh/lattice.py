@@ -73,11 +73,11 @@ def zak_phase(p: SshParams, n_k: int) -> float:
     and therefore inside [0, 2pi). A float modulo of the raw sum would not:
     a round-off just below 0 wraps to 2pi - eps, or to 2pi itself.
     """
-    k = zone_trapezoid(n_k)[0][:-1]  # the open periodic grid: pi is -pi again
     if abs(p.ratio - 1.0) < CRITICAL_TOL:
         raise CriticalPointError(
             f"ratio {p.ratio} within {CRITICAL_TOL} of the gap closure; Zak phase undefined"
         )
+    k = zone_trapezoid(n_k)[0][:-1]  # the open periodic grid: pi is -pi again
     theta = bloch_phase(k, p)
     phase_factor = np.exp(-1j * theta)
     # <u_j|u_{j+1}> for the valence doublet, with periodic wraparound.

@@ -34,8 +34,8 @@ def gamma4_direct_grid(
     """Double trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2
     on the square grid omegas x omegas (one zone, one kernel build).
 
-    The zone is read in the table's `numerics.reduction_order`: the kernel on
-    its ordered nodes, and its ordered samples as one zone x omega block b.
+    The zone is read as the table gives it, in `numerics.reduction_order`:
+    the kernel on its nodes, and its samples as one zone x omega block b.
     Inner sum k is the block v[k, k'] b[k', i], kernel first in each product,
     halved in place over k'; row i of the result is the block
     inner[k, i] b[k, j], halved over k. Each halving brackets as
@@ -44,8 +44,8 @@ def gamma4_direct_grid(
     formed: the largest temporary is one zone-by-omega block.
     """
     table = BubbleTable(p, c.eta, n_k)
-    v = _kernel_matrix(table._nodes, kern)
-    b = np.stack([table._samples(w) for w in np.asarray(omegas, dtype=float)], axis=-1)
+    v = _kernel_matrix(table.nodes, kern)
+    b = np.stack([table.samples(w) for w in np.asarray(omegas, dtype=float)], axis=-1)
     block, inner = np.empty_like(b), np.empty_like(b)
     for v_k, sums in zip(v, inner):
         sums[...] = _reduce_in_place(np.multiply(v_k[:, None], b, out=block))

@@ -6,7 +6,7 @@ No command reaches these; the tests hold each sweep to them:
 `dressed_band_sweep` to `sigma_matrix` and `dressed_bands`,
 `gamma4_direct_grid` to `gamma4_direct`, `gamma4_stationary` on arrays to
 `gamma4_saddle`, `BubbleTable` to `bz_integrate` (its zone in node order
-through `NodeOrderTable`), and the Kramers-Kronig checks to
+through `in_node_order` and `NodeOrderTable`), and the Kramers-Kronig checks to
 `principal_value`. Each one computes a single point (or a single integral)
 the plain way, with Python's complex scalars, from the library's public
 kernels and private formulas. `_sigma_keldysh`, `_green_keldysh`,
@@ -47,7 +47,8 @@ def in_node_order(ordered: np.ndarray) -> np.ndarray:
 class NodeOrderTable(BubbleTable):
     """A BubbleTable that also shows Delta(k) and the weighted |mu(k)|^2 in
     node order, as fresh arrays. The library stores both only in reduction
-    order, as the complex summands of its zone sums."""
+    order, as the complex summands of its zone sums, and gives its nodes and
+    samples only in that order."""
 
     @property
     def delta(self) -> np.ndarray:
@@ -218,14 +219,14 @@ def gamma4_direct(
     """Double-trapezoid of bubble(k; omega1) V(k, k') bubble(k'; omega2) / (2pi)^2.
 
     Arguments are ordered canonically before evaluating, so the omega1 <->
-    omega2 symmetry holds bit for bit. This pointwise form is the reference
-    for gamma4_direct_grid.
+    omega2 symmetry holds bit for bit. This pointwise form, on the zone in
+    node order, is the reference for gamma4_direct_grid.
     """
     a, b = (omega1, omega2) if omega1 <= omega2 else (omega2, omega1)
     table = BubbleTable(p, c.eta, n_k)
-    v = _kernel_matrix(table.nodes, kern)
-    inner = pairwise_sum(v * table.samples(b)[None, :], axis=1)
-    return complex(pairwise_sum(table.samples(a) * inner) / (2.0 * np.pi) ** 2)
+    v = _kernel_matrix(in_node_order(table.nodes), kern)
+    inner = pairwise_sum(v * in_node_order(table.samples(b))[None, :], axis=1)
+    return complex(pairwise_sum(in_node_order(table.samples(a)) * inner) / (2.0 * np.pi) ** 2)
 
 
 def gamma4_saddle(

@@ -3,8 +3,6 @@ and residue oracles."""
 
 import itertools
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +27,8 @@ from cavityssh.cavity import _propagator_parts
 from cavityssh.errors import NonFiniteSampleError
 from cavityssh.numerics import _py_product, _py_quotient, _py_square, pairwise_sum
 from reference import (
-    NodeOrderTable, bz_integrate, photon_self_energy, principal_value, spectral_function,
+    NodeOrderTable, bz_integrate, in_node_order, photon_self_energy, principal_value,
+    spectral_function,
 )
 
 TOPO = SshParams(1.0, 1.5)  # band [1, 5]
@@ -82,9 +81,9 @@ def test_bubble_table_is_the_bz_integrate_zone(t2, eta, omega, n_k, power):
     p = SshParams(1.0, t2)
     table = NodeOrderTable(p, eta, n_k)
     nodes, weights = zone_trapezoid(n_k)
-    assert table.nodes.tobytes() == nodes.tobytes()
+    assert in_node_order(table.nodes).tobytes() == nodes.tobytes()
     assert table.weighted_mu2.tobytes() == (weights * dipole(nodes, p) ** 2).tobytes()
-    samples = table.samples(omega, power)
+    samples = in_node_order(table.samples(omega, power))
     assert table.integral(omega, power) == complex(pairwise_sum(samples) / (2.0 * np.pi))
     reference = bz_integrate(
         lambda k: dipole(k, p) ** 2 / (omega - band_gap(k, p) + 1j * eta) ** power, n_k
@@ -110,19 +109,19 @@ def bits(value) -> bytes:
 @settings(max_examples=120, deadline=None)
 @given(
     n_k=st.sampled_from([64, 65, 4096, 65536]),
-    power=st.sampled_from([1, 2, 3]),
+    power=st.sampled_from([1, 2]),
     kind=st.sampled_from([float, np.float64, complex, "off-axis"]),
     omega=st.floats(-2.0, 9.0),
     im=st.floats(-0.5 * SHARP.eta, 0.5).filter(bool),
 )
 def test_bubble_integral_is_the_pairwise_sum_of_its_samples(n_k, power, kind, omega, im):
-    """integral() sums the samples() formula in the table's scratch without
+    """integral() sums the samples() formula in the table's buffer without
     changing a bit, and samples() rounds as the plain expression. An off-axis
     omega has Im omega != 0 and Im omega + eta > 0, as the Kerr Newton
     iterates have."""
     table = zone_table(n_k)
     omega = complex(omega, im) if kind == "off-axis" else kind(omega)
-    samples = table.samples(omega, power)
+    samples = in_node_order(table.samples(omega, power))
     expression = table.weighted_mu2 / (omega - table.delta + 1j * table.eta) ** power
     assert samples.tobytes() == expression.tobytes()
     expected = complex(pairwise_sum(samples) / (2.0 * np.pi))
@@ -148,37 +147,24 @@ def test_bubble_samples_are_fresh_arrays():
     assert first.tobytes() == kept.tobytes()
 
 
-def test_bubble_table_shared_by_threads_gives_the_serial_values():
+def test_bubble_table_after_a_non_finite_integral_is_a_fresh_table():
+    """A raise leaves nan in the table's one buffer; the next integral
+    overwrites all of it."""
     table = BubbleTable(TOPO, SHARP.eta, n_k=4096)
-    points = [(omega, power) for omega in np.linspace(0.5, 6.0, 24) for power in (1, 2)]
-    serial = [table.integral(omega, power) for omega, power in points]
-    results, errors = {}, []
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteSampleError):
+        table.integral(np.nan)
+    fresh = BubbleTable(TOPO, SHARP.eta, n_k=4096)
+    for omega, power in ((2.0, 1), (complex(3.0, 0.1), 2)):
+        assert bits(table.integral(omega, power)) == bits(fresh.integral(omega, power))
 
-    def hammer(worker):
-        try:
-            for rep in range(5):
-                order = points[::-1] if (worker + rep) % 2 else points
-                results[worker, rep] = {point: table.integral(*point) for point in order}
-        except Exception as exc:  # reported below; a lost thread would hide it
-            errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert not errors
-    assert len(results) == 4 * 5
-    expected = dict(zip(points, serial))
-    for values in results.values():
-        for point, value in values.items():
-            assert bits(value) == bits(expected[point])
+@pytest.mark.parametrize("power", [0, 3, -1, 1.5])
+def test_bubble_power_is_one_or_two(power):
+    table = BubbleTable(TOPO, CAV.eta, n_k=256)
+    with pytest.raises(ValueError, match="power must be 1 or 2"):
+        table.integral(2.0, power)
+    with pytest.raises(ValueError, match="power must be 1 or 2"):
+        table.samples(2.0, power)
 
 
 def test_bubble_integral_allocates_no_zone_sized_array():

@@ -1,5 +1,7 @@
 """Chain dispersion, dipole, and topology against the exact two-band algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,24 @@ def test_zak_phase_wrap_stays_on_quantized_branch():
 def test_zak_phase_rejects_critical_chain():
     with pytest.raises(CriticalPointError):
         zak_phase(SshParams(1.0, 1.0), n_k=1024)
+
+
+def test_zak_phase_rejects_a_critical_chain_before_building_its_zone():
+    """The zone at n_k = 2^22 is 32 MiB of float nodes; a critical ratio is
+    refused before any of it is allocated."""
+    n_k = 2**22
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CriticalPointError):
+            zak_phase(SshParams(1.0, 1.0), n_k=n_k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < (n_k + 1) * 8 / 64
 
 
 def test_band_edge_reference_config():

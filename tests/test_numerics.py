@@ -91,9 +91,10 @@ def concatenating_pairwise_sum(a):
 @pytest.mark.parametrize("n", [1, 2, 3] + [2**k + 1 for k in range(1, 13)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_pairwise_sum_scratch_pair_changes_no_bit(n, dtype):
-    """The buffer a sum is halved in, a caller's own as `BubbleTable` keeps
-    one or the gather inside pairwise_sum, changes no bit of the reduction as
-    first written, and pairwise_sum never returns a view of its input."""
+    """The buffer a sum is halved in, a caller's own as each `BubbleTable`
+    owns one or the gather inside pairwise_sum, changes no bit of the
+    reduction as first written, and pairwise_sum never returns a view of its
+    input."""
     rng = np.random.default_rng(n)
     m = rng.standard_normal((3, n)).astype(dtype)
     if dtype is np.complex128:

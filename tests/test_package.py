@@ -1,5 +1,6 @@
 """The package's public names: one table, each module imported on first use."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -62,6 +63,28 @@ def test_cli_import_loads_neither_a_thread_pool_nor_logging():
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_no_module_imports_thread_machinery():
+    """A zone table serves one thread, and no command starts another. numpy
+    itself loads `threading`, so the source is read, not sys.modules."""
+    package = os.path.join(SRC, "cavityssh")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}: {module}" for module in modules
+                      if module.split(".")[0] in {"threading", "concurrent", "multiprocessing"}]
+    assert found == []
 
 
 def test_cli_module_entry_reports_the_version():

@@ -42,10 +42,6 @@ UNREACHED = {
     # raised only for a frequency below the band edge; `saddle` evaluates the
     # vertex on the part of its grid at or above the edge alone
     "errors.py:BelowThresholdError.__init__",
-    # the zone samples in node order, for library callers and the tests that
-    # hold the vertex and the integral to plain pairwise sums; the vertex reads
-    # the reduction-ordered `_samples`
-    "cavity.py:BubbleTable.samples",
 }
 
 

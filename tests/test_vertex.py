@@ -20,7 +20,7 @@ from cavityssh import (
     pairwise_sum,
 )
 from cavityssh.vertex import _kernel_matrix
-from reference import gamma4_direct, gamma4_saddle
+from reference import gamma4_direct, gamma4_saddle, in_node_order
 
 TRIVIAL = SshParams(1.0, 0.5)  # Delta0 = 1
 CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=1.0, eta=1e-2)
@@ -95,9 +95,9 @@ def test_direct_vertex_grid_equals_the_per_pair_loop_bit_for_bit():
     omegas = np.linspace(0.6, 1.4, 9)
     grid = gamma4_direct_grid(omegas, TRIVIAL, CAV, kern, n_k=200)
     table = BubbleTable(TRIVIAL, CAV.eta, n_k=200)
-    nodes = table.nodes
+    nodes = in_node_order(table.nodes)
     v = kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
-    bvecs = [table.samples(w) for w in omegas]
+    bvecs = [in_node_order(table.samples(w)) for w in omegas]
     transformed = [pairwise_sum(v * bv[None, :], axis=1) for bv in bvecs]
     for i in range(omegas.size):
         for j in range(omegas.size):
