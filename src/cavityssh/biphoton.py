@@ -145,7 +145,7 @@ def entropy_scan(
     omega0: float,
     sigma: float,
     edge: BandEdgeParams,
-    v0: float = 1.0,
+    v0: float,
 ) -> list[EntropyScanRow]:
     """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel:
     one `scattered_pair` row per zeta, all from the same Gaussian pump."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import Any, NamedTuple
 
 from .errors import ConfigInvalidError
@@ -33,7 +34,7 @@ class Command(NamedTuple):
     help: str
     reads: tuple[str, ...]
     params: dict[str, tuple[str, Any, tuple[str, float] | None]]
-    arrays: tuple[tuple[str, ...], ...] = ()
+    arrays: tuple[tuple[str, ...], ...]
 
 
 # the zone sizes of a config without grids.n_k / grids.n_k2d; the library
@@ -200,7 +201,7 @@ def _real(value) -> float:
         return math.inf
 
 
-def _finite(value, where: str, minimum=None) -> float:
+def _finite(value, where: str, minimum) -> float:
     """A JSON number as a float; bools, strings, NaN/Infinity and values below
     `minimum` are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -289,8 +290,8 @@ def _unique_keys(pairs: list) -> dict:
     error: json.loads would keep its last value and never check the others."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise ConfigInvalidError(f"key {repeated!r} appears more than once in one object")
     return obj
 

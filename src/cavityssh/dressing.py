@@ -32,7 +32,7 @@ class DressedBandSweep(NamedTuple):
 
 
 def dressed_band_sweep(
-    ks, p: SshParams, c: CavityParams, onshell: bool = True, omega: float = 0.0
+    ks, p: SshParams, c: CavityParams, onshell: bool, omega: float
 ) -> DressedBandSweep:
     """Sigma_cv and the dressed bands at each k, as whole arrays.
 

@@ -46,7 +46,6 @@ def solve_omega_sequence(
     n_max: int,
     table: BubbleTable,
     c: CavityParams,
-    max_iter: int = 60,
     seed_integral: complex | None = None,
 ) -> np.ndarray:
     """omega_n for n = 0..n_max via complex Newton with continuation seeding.
@@ -81,7 +80,7 @@ def solve_omega_sequence(
         def df(z: complex) -> complex:
             return 1.0 + scale * table.integral(z, power=2)
 
-        seed = complex_newton(f, seed, df, max_iter=max_iter)
+        seed = complex_newton(f, seed, df)
         out[n] = seed
     return out
 
@@ -102,14 +101,7 @@ def kerr_from_fit(omega_n: np.ndarray) -> KerrResult:
     )
 
 
-def kerr_scan(
-    r_values,
-    p: SshParams,
-    c: CavityParams,
-    n_k: int,
-    n_max: int = 5,
-    max_iter: int = 60,
-) -> list[KerrScanRow]:
+def kerr_scan(r_values, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> list[KerrScanRow]:
     """Kerr fit vs closed form across hopping ratios, omega_c re-pinned per row.
 
     Each row rebuilds the chain at t2 = r t1 and re-centers the cavity on the
@@ -123,12 +115,10 @@ def kerr_scan(
             raise CriticalPointError(
                 f"r = {r} inside the critical guard |r-1| < {CRITICAL_GUARD}"
             )
-    return [_scan_row(r, p, c, n_k, n_max, max_iter) for r in r_values]
+    return [_scan_row(r, p, c, n_k, n_max) for r in r_values]
 
 
-def _scan_row(
-    r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int, max_iter: int
-) -> KerrScanRow:
+def _scan_row(r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> KerrScanRow:
     """One ratio of kerr_scan. Its zone table serves the closed form and the
     ladder and is released on return, before the next ratio builds its own."""
     p_r = SshParams(p.t1, r * p.t1)
@@ -137,7 +127,7 @@ def _scan_row(
     at_omega_c = table.integral(c_r.omega_c)
     u_closed = c_r.g**2 * at_omega_c  # Sigma^R(omega_c) from this table
     try:
-        ladder = solve_omega_sequence(n_max, table, c_r, max_iter, at_omega_c)
+        ladder = solve_omega_sequence(n_max, table, c_r, at_omega_c)
     except NoConvergenceError:
         return KerrScanRow(r=r, result=None, u_closed=u_closed)
     return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed)

@@ -68,25 +68,18 @@ def _reduce_in_place(x: np.ndarray):
     return x[0]
 
 
-def pairwise_sum(values: np.ndarray, axis: int | None = None):
-    """Sum by repeated adjacent pairing (deterministic reduction order).
+def pairwise_sum(values: np.ndarray):
+    """Sum of the flattened `values` by repeated adjacent pairing
+    (deterministic reduction order).
 
-    With axis=None the array is flattened first. An odd tail element is
-    carried into the next round unchanged, so the bracketing is a pure
-    function of the input length. The summands are gathered once into
-    `reduction_order` and summed there in place; the result never aliases
-    the input.
+    An odd tail element is carried into the next round unchanged, so the
+    bracketing is a pure function of the input length. The summands are
+    gathered once into `reduction_order` and summed there in place.
     """
-    a = np.asarray(values)
-    if axis is None:
-        a = a.reshape(-1)
-        axis = 0
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(a.shape[1:], dtype=a.dtype) if a.ndim > 1 else a.dtype.type(0)
-    total = _reduce_in_place(a[reduction_order(n)])
-    return total.copy() if a.ndim > 1 else total
+    a = np.asarray(values).reshape(-1)
+    if a.size == 0:
+        return a.dtype.type(0)
+    return _reduce_in_place(a[reduction_order(a.size)])
 
 
 # CPython rounds a complex * or / of Python numbers as plain double operations
@@ -148,14 +141,16 @@ def zone_trapezoid(n_k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# the tolerance and step cap of every Newton solve: the one caller, the Kerr
+# ladder, needs no other values
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 60
+
+
 def complex_newton(
-    f: Callable[[complex], complex],
-    z0: complex,
-    df: Callable[[complex], complex],
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    f: Callable[[complex], complex], z0: complex, df: Callable[[complex], complex]
 ) -> complex:
-    """Newton iteration in the complex plane; returns z with |f(z)| < tol.
+    """Newton iteration in the complex plane; returns z with |f(z)| < NEWTON_TOL.
 
     f is called once per iterate and its value serves both the residual and
     the next step, so k steps cost k + 1 calls of f and k of its derivative
@@ -164,8 +159,8 @@ def complex_newton(
     z = complex(z0)
     fz = f(z)
     residual = abs(fz)
-    for iteration in range(max_iter):
-        if residual < tol:
+    for iteration in range(NEWTON_MAX_STEPS):
+        if residual < NEWTON_TOL:
             return z
         deriv = df(z)
         if deriv == 0 or not np.isfinite(abs(deriv)):
@@ -175,13 +170,13 @@ def complex_newton(
         z = z - fz / deriv
         fz = f(z)
         residual = abs(fz)
-    if residual < tol:
+    if residual < NEWTON_TOL:
         return z
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
+        f"no convergence after {NEWTON_MAX_STEPS} iterations (residual {residual:.3e})",
         z,
         residual,
-        max_iter,
+        NEWTON_MAX_STEPS,
     )
 
 

@@ -88,7 +88,7 @@ def write_manifest(
     convergence: dict,
     metadata: dict,
     blas: dict,
-    error: dict | None = None,
+    error: dict | None,
 ) -> str:
     """Emit manifest.json next to the outputs; returns its path.
 

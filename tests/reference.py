@@ -225,7 +225,7 @@ def gamma4_direct(
     a, b = (omega1, omega2) if omega1 <= omega2 else (omega2, omega1)
     table = BubbleTable(p, c.eta, n_k)
     v = _kernel_matrix(in_node_order(table.nodes), kern)
-    inner = pairwise_sum(v * in_node_order(table.samples(b))[None, :], axis=1)
+    inner = np.array([pairwise_sum(row) for row in v * in_node_order(table.samples(b))[None, :]])
     return complex(pairwise_sum(in_node_order(table.samples(a)) * inner) / (2.0 * np.pi) ** 2)
 
 

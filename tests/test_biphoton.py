@@ -125,7 +125,7 @@ def test_edge_momentum_map_clamps_below_threshold():
 def test_entropy_scan_monotone_and_geometric():
     zetas = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
     scan_grid = FrequencyGrid(0.6, 1.4, 256)
-    rows = entropy_scan(zetas, scan_grid, PUMP["omega0"], PUMP["sigma"], EDGE)
+    rows = entropy_scan(zetas, scan_grid, PUMP["omega0"], PUMP["sigma"], EDGE, v0=1.0)
     entropies = [row.entropy_nats for row in rows]
     assert entropies[0] < 1e-10
     assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
@@ -137,7 +137,7 @@ def test_entropy_scan_monotone_and_geometric():
 
 
 def test_entropy_scan_zero_range_row_is_separable():
-    row = entropy_scan([0.0], GRID, PUMP["omega0"], PUMP["sigma"], EDGE)[0]
+    row = entropy_scan([0.0], GRID, PUMP["omega0"], PUMP["sigma"], EDGE, v0=1.0)[0]
     # one weight carries everything; the fitted ratio is noise-floor small
     assert row.leading[0] > 0.999
     assert row.ratio_fit < 1e-6
@@ -146,14 +146,14 @@ def test_entropy_scan_zero_range_row_is_separable():
 
 def test_entropy_scan_grid_refinement_stable():
     fine = FrequencyGrid(0.6, 1.4, 256)
-    coarse_row = entropy_scan([5.0], GRID, 1.0, 0.1, EDGE)[0]
-    fine_row = entropy_scan([5.0], fine, 1.0, 0.1, EDGE)[0]
+    coarse_row = entropy_scan([5.0], GRID, 1.0, 0.1, EDGE, v0=1.0)[0]
+    fine_row = entropy_scan([5.0], fine, 1.0, 0.1, EDGE, v0=1.0)[0]
     assert abs(coarse_row.entropy_nats - fine_row.entropy_nats) < 1e-3
 
 
 def test_scan_rows_are_the_scattered_pair_rows():
     pump = input_state(GRID, **PUMP)
-    rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, **PUMP)
+    rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, v0=1.0, **PUMP)
     kernels = [InteractionKernel(1.0, zeta) for zeta in (0.0, 2.5)]
     assert rows == [scattered_pair(pump, kern, EDGE)[1] for kern in kernels]
     with pytest.raises(ValueError):

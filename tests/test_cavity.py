@@ -168,8 +168,8 @@ def test_bubble_power_is_one_or_two(power):
 
 
 def test_bubble_integral_allocates_no_zone_sized_array():
-    """After its first call a table's integral reuses the table's scratch;
-    numpy reports its data buffers to tracemalloc."""
+    """A table's integral runs in the zone-sized buffer the table allocated
+    when built; numpy reports its data buffers to tracemalloc."""
     n_k = 65536
     table = BubbleTable(TOPO, SHARP.eta, n_k)
     table.integral(2.0)
@@ -187,8 +187,8 @@ def test_bubble_integral_allocates_no_zone_sized_array():
 
 
 def test_a_built_table_holds_at_most_three_and_a_half_mib():
-    """At n_k = 65536 a table holds its two complex zone arrays and, after its
-    first integral, one zone-sized buffer: 3 MiB, where the table it replaced
+    """At n_k = 65536 a table holds its two complex zone arrays and the
+    zone-sized buffer it allocates when built: 3 MiB, where the table it replaced
     held 3.50 MiB. Natural-order copies kept beside the ordered ones would
     show here."""
     was_tracing = tracemalloc.is_tracing()

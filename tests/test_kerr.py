@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cavityssh import kerr
+from cavityssh import kerr, numerics
 from cavityssh import (
     BubbleTable,
     CavityParams,
@@ -128,7 +128,7 @@ def test_kerr_scaling_window():
 
 def test_scan_rejects_ratios_inside_the_guard():
     with pytest.raises(CriticalPointError):
-        kerr_scan([0.5, 0.995, 1.5], TOPO, KERR_CAV, n_k=512)
+        kerr_scan([0.5, 0.995, 1.5], TOPO, KERR_CAV, n_k=512, n_max=5)
 
 
 def test_scan_rows_follow_input_order():
@@ -142,8 +142,9 @@ def test_scan_rows_follow_input_order():
         assert abs(row.result.omega0 - 2.0 * abs(1.0 - row.r)) < 0.05
 
 
-def test_scan_records_diverged_rows_and_continues():
-    rows = kerr_scan([0.5, 1.5], TOPO, KERR_CAV, n_k=1024, max_iter=1)
+def test_scan_records_diverged_rows_and_continues(monkeypatch):
+    monkeypatch.setattr(numerics, "NEWTON_MAX_STEPS", 1)
+    rows = kerr_scan([0.5, 1.5], TOPO, KERR_CAV, n_k=1024, n_max=5)
     assert [row.converged for row in rows] == [False, False]
     assert all(row.result is None for row in rows)
     assert all(np.isfinite(abs(row.u_closed)) for row in rows)
@@ -204,13 +205,13 @@ def test_a_three_ratio_scan_peaks_under_five_mib():
     scan on natural-order tables peaked at 3.64 MiB after the same warm-up
     and at 4.67 MiB in a fresh process. Shared cos/sin arrays, natural-order
     copies or a table kept past its ratio would show here."""
-    kerr_scan([0.5], SshParams(1.0, 0.5), KERR_CAV, n_k=256)  # first-call allocations
+    kerr_scan([0.5], SshParams(1.0, 0.5), KERR_CAV, n_k=256, n_max=5)  # first-call allocations
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        rows = kerr_scan([0.5, 0.7, 1.5], SshParams(1.0, 0.5), KERR_CAV, n_k=65536)
+        rows = kerr_scan([0.5, 0.7, 1.5], SshParams(1.0, 0.5), KERR_CAV, n_k=65536, n_max=5)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:

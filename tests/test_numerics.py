@@ -17,6 +17,7 @@ from cavityssh import (
     pairwise_sum,
     zone_trapezoid,
 )
+from cavityssh import numerics
 from cavityssh.numerics import MIN_NK
 from cavityssh.numerics import (
     _reduce_in_place, polyfit_quadratic, reduction_order, svd_singular_values,
@@ -50,7 +51,7 @@ def test_pairwise_sum_matches_fsum():
 def test_pairwise_sum_axis_matches_full_reduction():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((13, 7))
-    by_rows = pairwise_sum(pairwise_sum(m, axis=1))
+    by_rows = pairwise_sum([pairwise_sum(row) for row in m])
     assert abs(by_rows - math.fsum(m.ravel())) < 1e-12
 
 
@@ -67,10 +68,14 @@ ROW_ARRAYS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(ROW_ARRAYS)
 def test_pairwise_sum_rows_equal_the_one_dimensional_call_bit_for_bit(m):
-    rows = pairwise_sum(m, axis=-1)
+    """Rows summed as one block in reduction order, as the zone and vertex
+    sums are, equal one pairwise_sum call per row."""
+    if not m.shape[1]:
+        assert all(pairwise_sum(row) == 0 for row in m)
+        return
+    rows = _reduce_in_place(m.T[reduction_order(m.shape[1])])
     assert rows.shape == m.shape[:1]
-    if m.shape[1]:
-        assert rows.tobytes() == concatenating_pairwise_sum(m).tobytes()
+    assert rows.tobytes() == concatenating_pairwise_sum(m).tobytes()
     for i in range(m.shape[0]):
         assert np.asarray(rows[i]).tobytes() == np.asarray(pairwise_sum(m[i])).tobytes()
 
@@ -100,17 +105,15 @@ def test_pairwise_sum_scratch_pair_changes_no_bit(n, dtype):
     if dtype is np.complex128:
         m += 1j * rng.standard_normal((3, n))
     order = reduction_order(n)
-    for values, axis in ((m[1], None), (m, -1), (np.ascontiguousarray(m.T), 0)):
-        summands = values.reshape(-1) if axis is None else np.moveaxis(values, axis, 0)
+    plain = pairwise_sum(m[1])
+    assert np.asarray(plain).tobytes() == np.asarray(concatenating_pairwise_sum(m[1])).tobytes()
+    assert not np.shares_memory(plain, m)
+    for summands in (m[1], m.T):  # one vector, and the rows of m as one block
         scratch = np.full(summands.shape, np.nan, dtype=dtype)
         np.take(summands, order, axis=0, out=scratch)
-        plain = pairwise_sum(values, axis=axis)
         buffered = _reduce_in_place(scratch)
-        reference = concatenating_pairwise_sum(m[1] if axis is None else m)
-        assert np.asarray(plain).tobytes() == np.asarray(reference).tobytes()
+        reference = concatenating_pairwise_sum(summands.T)
         assert np.asarray(buffered).tobytes() == np.asarray(reference).tobytes()
-        assert not np.shares_memory(plain, scratch)
-        assert not np.shares_memory(plain, values)
 
 
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -160,7 +163,7 @@ def test_in_place_sum_in_reduction_order_is_the_pairwise_sum_word_for_word(value
         assert words(pairwise_sum(values)) == expected
         expected = words(concatenating_pairwise_sum(block.T))
         assert words(_reduce_in_place(block[order])) == expected
-        assert words(pairwise_sum(block, axis=0)) == expected
+        assert words([pairwise_sum(column) for column in block.T]) == expected
 
 
 def test_reduction_order_on_every_length_to_300():
@@ -306,14 +309,25 @@ def test_complex_newton_exact_seed_returns_immediately():
     assert complex_newton(lambda z: z - 2.0, 2.0 + 0.0j, df=lambda z: 1.0 + 0.0j) == 2.0 + 0.0j
 
 
-def test_complex_newton_reports_failure():
+def test_complex_newton_reports_failure(monkeypatch):
     # z^2 + 1 from a real seed never leaves the real axis
+    monkeypatch.setattr(numerics, "NEWTON_MAX_STEPS", 12)
     with pytest.raises(NoConvergenceError) as info:
-        complex_newton(lambda z: z * z + 1.0, 0.5 + 0.0j, df=lambda z: 2.0 * z, max_iter=12)
+        complex_newton(lambda z: z * z + 1.0, 0.5 + 0.0j, df=lambda z: 2.0 * z)
     err = info.value
     assert err.iterations == 12
     assert err.residual > 1e-12
     assert np.isfinite(abs(err.last))
+
+
+def test_complex_newton_stops_where_the_derivative_vanishes():
+    # z^2 - 1 has a flat tangent at the seed 0, so no first step exists
+    with pytest.raises(NoConvergenceError, match="derivative vanished") as info:
+        complex_newton(lambda z: z * z - 1.0, 0.0 + 0.0j, df=lambda z: 2.0 * z)
+    err = info.value
+    assert err.iterations == 0
+    assert err.last == 0
+    assert err.residual == 1.0
 
 
 def test_polyfit_quadratic_recovers_exact_coefficients():

@@ -117,3 +117,69 @@ def test_no_library_callable_defaults_a_zone_size():
     assert {"BubbleTable", "self_energy_spectrum", "gamma4_direct_grid", "kerr_scan",
             "zak_phase"} <= with_n_k
     assert defaulted == []
+
+
+# (module, function or record, parameter or field) -> why its default stays.
+# A default stays where two callers outside the tests need different values,
+# or where an entry point takes it; every other value comes from the caller,
+# and the CLI's values from the config.
+KEYWORD_DEFAULTS = {
+    ("cavity", "_propagator_parts", "sigma_re"):
+        "the bare mode of dressing has no self-energy; keldysh passes Sigma",
+    ("cavity", "_propagator_parts", "sigma_im"):
+        "the bare mode of dressing has no self-energy; keldysh passes Sigma",
+    ("cavity", "BubbleTable.samples", "power"):
+        "the vertex samples I's integrand; integral's check passes its own power",
+    ("cavity", "BubbleTable.integral", "power"):
+        "the ladder's residual needs I, its Newton derivative I' (power 2)",
+    ("cli", "main", "argv"): "entry point: None parses sys.argv",
+    ("cli", "main.emit_manifest", "error"): "only a failed run has an error record",
+    ("config", "_section", "model"):
+        "the sections with derived defaults pass the model; model, grids and a grid have none",
+    ("config", "_section", "cavity"): "only params derives a default from the cavity",
+    ("kerr", "solve_omega_sequence", "seed_integral"):
+        "kerr_scan passes I(omega_c), which it already has; a lone ladder computes it",
+}
+
+
+def keyword_defaults(module: str) -> list:
+    """(module, qualified function or record, name) of every default in the
+    module's source: function parameters, nested functions' included, and
+    NamedTuple fields."""
+    with open(os.path.join(SRC, "cavityssh", f"{module}.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = [*scope, getattr(child, "name", "<lambda>")]
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                named = positional[len(positional) - len(args.defaults):]
+                named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                found.extend((module, ".".join(inner), arg.arg) for arg in named)
+                visit(child, inner)
+            elif isinstance(child, ast.ClassDef):
+                inner = [*scope, child.name]
+                if any(ast.unparse(base).endswith("NamedTuple") for base in child.bases):
+                    found.extend((module, ".".join(inner), field.target.id)
+                                 for field in child.body
+                                 if isinstance(field, ast.AnnAssign) and field.value is not None)
+                visit(child, inner)
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_every_keyword_default_is_listed():
+    """The library takes every value from its caller, with the defaults of
+    KEYWORD_DEFAULTS as the only exceptions."""
+    package = os.path.join(SRC, "cavityssh")
+    found = [default for name in sorted(os.listdir(package)) if name.endswith(".py")
+             for default in keyword_defaults(name[:-3])]
+    assert sorted(set(found) - set(KEYWORD_DEFAULTS)) == []  # a default not listed
+    assert sorted(found) == sorted(KEYWORD_DEFAULTS)  # or one listed but gone

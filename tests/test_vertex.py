@@ -98,7 +98,7 @@ def test_direct_vertex_grid_equals_the_per_pair_loop_bit_for_bit():
     nodes = in_node_order(table.nodes)
     v = kern.v0 * np.exp(-kern.zeta * (nodes[:, None] - nodes[None, :]) ** 2)
     bvecs = [in_node_order(table.samples(w)) for w in omegas]
-    transformed = [pairwise_sum(v * bv[None, :], axis=1) for bv in bvecs]
+    transformed = [np.array([pairwise_sum(row) for row in v * bv[None, :]]) for bv in bvecs]
     for i in range(omegas.size):
         for j in range(omegas.size):
             loop = pairwise_sum(transformed[i] * bvecs[j]) / (2.0 * np.pi) ** 2
