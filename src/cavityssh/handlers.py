@@ -104,7 +104,12 @@ def _run_kerr_scan(cfg: RunConfig, log):
         "completed": True,
         "all_rows_converged": all(row.converged for row in scan),
     }
-    meta = {"protocol": "omega_c re-pinned to the moving band edge 2|t1-t2| per ratio"}
+    meta = {
+        "protocol": "omega_c re-pinned to the moving band edge 2|t1-t2| per ratio",
+        "unconverged_rows": [{"r": row.r, "iterations": row.divergence[0],
+                              "residual": row.divergence[1]}
+                             for row in scan if not row.converged],
+    }
     return emissions, convergence, meta
 
 

@@ -31,11 +31,14 @@ class KerrResult(NamedTuple):
 
 
 class KerrScanRow(NamedTuple):
-    """One hopping ratio of the scan; result is None when the solve diverged."""
+    """One hopping ratio of the scan. When its Newton solve diverged, result is
+    None and divergence holds the (iterations, last residual) of the
+    NoConvergenceError; otherwise divergence is None."""
 
     r: float
     result: KerrResult | None
     u_closed: complex
+    divergence: tuple[int, float] | None
 
     @property
     def converged(self) -> bool:
@@ -108,6 +111,10 @@ def kerr_scan(r_values, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> 
     moving band edge omega_c = 2|t1 - t2| (resonant protocol). Ratios inside
     the critical guard |r - 1| < 0.02 are rejected up front; a row whose
     Newton solve diverges is recorded unconverged and the scan continues.
+
+    Every ladder is solved, and its zone table freed, before the first fit:
+    the fit's least-squares call maps LAPACK's pages, and a table built after
+    it would sit on top of them. The fits see the same ladders either way.
     """
     r_values = [float(r) for r in r_values]
     for r in r_values:
@@ -115,12 +122,16 @@ def kerr_scan(r_values, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> 
             raise CriticalPointError(
                 f"r = {r} inside the critical guard |r-1| < {CRITICAL_GUARD}"
             )
-    return [_scan_row(r, p, c, n_k, n_max) for r in r_values]
+    solved = [_solve_ratio(r, p, c, n_k, n_max) for r in r_values]
+    return [KerrScanRow(r, None if ladder is None else kerr_from_fit(ladder), u_closed,
+                        divergence)
+            for r, (ladder, u_closed, divergence) in zip(r_values, solved)]
 
 
-def _scan_row(r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> KerrScanRow:
-    """One ratio of kerr_scan. Its zone table serves the closed form and the
-    ladder and is released on return, before the next ratio builds its own."""
+def _solve_ratio(r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int):
+    """(ladder or None, u_closed, divergence) of one ratio of kerr_scan. Its
+    zone table serves the closed form and the ladder and is released on
+    return, before the next ratio builds its own."""
     p_r = SshParams(p.t1, r * p.t1)
     c_r = c._replace(omega_c=p_r.edge_gap)
     table = BubbleTable(p_r, c_r.eta, n_k)
@@ -128,6 +139,6 @@ def _scan_row(r: float, p: SshParams, c: CavityParams, n_k: int, n_max: int) -> 
     u_closed = c_r.g**2 * at_omega_c  # Sigma^R(omega_c) from this table
     try:
         ladder = solve_omega_sequence(n_max, table, c_r, at_omega_c)
-    except NoConvergenceError:
-        return KerrScanRow(r=r, result=None, u_closed=u_closed)
-    return KerrScanRow(r=r, result=kerr_from_fit(ladder), u_closed=u_closed)
+    except NoConvergenceError as exc:
+        return None, u_closed, (exc.iterations, exc.residual)
+    return ladder, u_closed, None

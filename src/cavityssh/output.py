@@ -10,11 +10,18 @@ written, so the writer's memory does not grow with the table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 import numpy as np
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _BLOCK_CELLS = 4096
 
@@ -71,7 +78,7 @@ def write_csv(path: str, first_line: str, columns) -> None:
 
 
 def sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)

@@ -693,7 +693,8 @@ def test_schmidt_scan_csv_equals_the_library_rows(tmp_path):
 
 def test_kerr_csv_equals_the_scan_rows_with_unconverged_ones(tmp_path, monkeypatch):
     """Two Newton steps converge the lower ratios at g = 0.05 but not the upper
-    ones; an unconverged row prints nan fits and converged = 0."""
+    ones; an unconverged row prints nan fits and converged = 0, and the
+    manifest's metadata records its Newton steps and last residual."""
     monkeypatch.setattr(numerics, "NEWTON_MAX_STEPS", 2)
     doc = {
         "model": {"t1": 1.0, "t2": 0.5},
@@ -716,7 +717,13 @@ def test_kerr_csv_equals_the_scan_rows_with_unconverged_ones(tmp_path, monkeypat
                          fit.uprime.imag, fit.fit_residual, True))
     expected = format_cell_csv("r,omega0,ReU,ImU,ReUprime,ImUprime,residual,converged", rows)
     assert (out_dir / "kerr.csv").read_bytes() == expected
-    assert read_manifest(out_dir)["convergence"]["all_rows_converged"] is False
+    manifest = read_manifest(out_dir)
+    assert manifest["convergence"]["all_rows_converged"] is False
+    # the metadata keeps each unconverged row's Newton steps and last residual
+    assert manifest["metadata"]["unconverged_rows"] == [
+        {"r": row.r, "iterations": 2, "residual": row.divergence[1]}
+        for row in scan if not row.converged
+    ]
 
 
 def test_compute_failure_exits_3_with_error_manifest(tmp_path):

@@ -20,9 +20,9 @@ from cavityssh.config import parse_config
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 # The Schmidt weights come from an SVD whose last bits depend on how many
-# threads OpenBLAS runs (ROADMAP item 2): at one BLAS thread 30 of the 72
-# cells of schmidt_scan.csv move, and schmidt.csv with them. Their pinned
-# hashes hold only on hosts where OpenBLAS runs more than one thread.
+# threads OpenBLAS runs (ROADMAP item 3, with item 4): at one BLAS thread 30
+# of the 72 cells of schmidt_scan.csv move, and schmidt.csv with them. Their
+# pinned hashes hold only on hosts where OpenBLAS runs more than one thread.
 BLAS_DEPENDENT = {"schmidt.csv", "schmidt_scan.csv"}
 
 

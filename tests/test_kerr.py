@@ -148,6 +148,9 @@ def test_scan_records_diverged_rows_and_continues(monkeypatch):
     assert [row.converged for row in rows] == [False, False]
     assert all(row.result is None for row in rows)
     assert all(np.isfinite(abs(row.u_closed)) for row in rows)
+    # each row keeps its NoConvergenceError's step count and last residual
+    assert [row.divergence[0] for row in rows] == [1, 1]
+    assert all(row.divergence[1] >= numerics.NEWTON_TOL for row in rows)
 
 
 class CountingTable(BubbleTable):
@@ -197,6 +200,39 @@ def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
         assert row.u_closed == photon_self_energy(c_r.omega_c, p_r, c_r, n_k=4096)
         ladder = solve_omega_sequence(3, BubbleTable(p_r, c_r.eta, 4096), c_r)
         assert row.result.omega_n.tobytes() == ladder.tobytes()
+
+
+def test_scan_fits_only_after_every_table_is_freed(monkeypatch):
+    """The fits' least-squares calls map LAPACK's pages, so no zone table may
+    be alive, and none built, once the first fit runs; the fits still see
+    each ratio's ladder and the rows keep their order."""
+    built, at_fit = [], []
+
+    class TrackedTable(BubbleTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    def fit(omega_n):
+        at_fit.append((len(built), sum(ref() is not None for ref in built)))
+        return kerr_from_fit(omega_n)
+
+    monkeypatch.setattr(kerr, "BubbleTable", TrackedTable)
+    monkeypatch.setattr(kerr, "kerr_from_fit", fit)
+    gc.disable()  # only reference counting may free the tables
+    try:
+        rows = kerr_scan([1.5, 0.5, 1.3], TOPO, KERR_CAV, n_k=4096, n_max=3)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    assert at_fit == [(3, 0)] * 3  # (tables built, tables alive) at each fit
+    assert [row.r for row in rows] == [1.5, 0.5, 1.3]
+    for row in rows:
+        c_r = KERR_CAV._replace(omega_c=2.0 * abs(1.0 - row.r))
+        ladder = solve_omega_sequence(3, BubbleTable(SshParams(1.0, row.r), c_r.eta, 4096), c_r)
+        assert row.result == kerr_from_fit(ladder)._replace(omega_n=row.result.omega_n)
+        assert row.result.omega_n.tobytes() == ladder.tobytes()
+        assert row.divergence is None
 
 
 def test_a_three_ratio_scan_peaks_under_five_mib():

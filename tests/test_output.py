@@ -1,6 +1,10 @@
-"""The CSV writer prints every numeric cell as format(float(x), ".17g")."""
+"""The CSV writer prints every numeric cell as format(float(x), ".17g"), and
+the manifest's digests are SHA-256 without OpenSSL."""
 
+import hashlib
+import importlib.util
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -172,3 +176,17 @@ def test_write_csv_memory_does_not_grow_with_the_row_count(tmp_path):
         peaks.append(peak)
     assert max(peaks) < 1 << 20
     assert abs(peaks[1] - peaks[0]) < 4096
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 16) + 1, 1 << 20])
+def test_sha256_of_is_hashlib_sha256_without_openssl(tmp_path, size):
+    """Files of 0 and 1 bytes, one 64 KiB read block, one byte over it and
+    1 MiB: the digest is hashlib's, and its object is CPython's own SHA-256
+    (`_sha2` from 3.12, `_sha256` before), not OpenSSL's `_hashlib.HASH`."""
+    data = os.urandom(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert output.sha256_of(str(path)) == hashlib.sha256(data).hexdigest()
+    builtin = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
+    if builtin:
+        assert type(output.sha256()).__module__ == builtin[0]

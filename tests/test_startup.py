@@ -1,6 +1,7 @@
 """What loads when: the CLI front end and config validation import no numpy and
 no numerical module; a dispatched command loads every layer. No run loads
-`dataclasses`, and only a run that prints a traceback loads `traceback`.
+`dataclasses` or OpenSSL's `_hashlib`, and only a run that prints a traceback
+loads `traceback`. What a `kerr-scan` child holds on top of numpy.
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported numpy and every module.
@@ -25,9 +26,10 @@ CONFIGS = sorted(glob.glob(os.path.join(SRC, "..", "configs", "*.json")))
 # what `import cavityssh.cli` and `load_config` must not load
 NUMERICAL = ("numpy", "cavityssh.numerics", "cavityssh.lattice", "cavityssh.cavity",
              "cavityssh.output")
-# what they must not load either: the records are named tuples, and the CLI
-# imports traceback only to print one
-LEAN = ("dataclasses", "traceback")
+# what no run loads either: the records are named tuples, the CLI imports
+# traceback only to print one, and the manifest hashes with CPython's own
+# SHA-256, not OpenSSL's (3.5 MiB of libcrypto)
+LEAN = ("dataclasses", "traceback", "_hashlib")
 
 
 def run_python(*args):
@@ -98,20 +100,63 @@ def test_cli_entry_exits_before_numpy_loads(tmp_path, argv, code):
 DISPATCH = """
 import json, sys
 from cavityssh import cli
-code = cli.main(sys.argv[2:])
+lean = json.loads(sys.argv[2])
+code = cli.main(sys.argv[3:])
 print(json.dumps([code, sorted(set(json.loads(sys.argv[1])) - set(sys.modules)),
-                  sorted({"dataclasses", "traceback"} & set(sys.modules))]))
+                  sorted(set(lean) & set(sys.modules))]))
 """
 
 
 def test_a_dispatched_run_loads_every_traced_layer(tmp_path):
     """`zak` reads only the lattice, yet its run loads every layer, so the
     tracer finds each one in sys.modules after any first command. It loads
-    neither `dataclasses` nor `traceback`."""
+    neither `dataclasses` nor `traceback`, and hashes its CSV and writes its
+    manifest without `_hashlib`."""
     config = tmp_path / "zak.json"
     config.write_text(json.dumps({"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}}))
     layers = [f"cavityssh.{layer}" for layer in traced_layers()]
     argv = ["zak", "--config", str(config), "--out", str(tmp_path / "out")]
-    result = run_python("-c", DISPATCH, json.dumps(layers), *argv)
+    result = run_python("-c", DISPATCH, json.dumps(layers), json.dumps(LEAN), *argv)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [0, [], []]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+
+
+# Runs each argv in its own child and prints [exit code, ru_maxrss in KiB] of
+# each. On Linux a child's ru_maxrss starts from the peak of the process that
+# forked it, so each child is spawned from this small launcher, whose own
+# peak (that of a `pass` child) lies below any child that imports numpy.
+LAUNCH = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    child = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    peaks.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss])
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_a_kerr_scan_child_holds_under_eight_and_a_half_mib_over_numpy(tmp_path):
+    """The seed-0 fig4 `kerr-scan` child peaks at most 8.5 MiB above a child
+    that only imports numpy. Over numpy it holds our modules, one 3 MiB zone
+    table and LAPACK's pages, which it maps for the first fit only after the
+    last table is freed. Measured on a 2-vCPU x86-64 host with numpy 2.4.6:
+    6.7 MiB, so the margin is 1.8 MiB. With `hashlib` (OpenSSL's libcrypto)
+    it read 9.2 MiB, with each fit right after its ratio's ladder 10.1 MiB,
+    and with both 12.7 MiB."""
+    config = tmp_path / "fig4.json"
+    config.write_text(json.dumps(next(config for command, config in seed0_configs()
+                                      if command == "kerr-scan")))
+    argvs = [[sys.executable, "-c", "pass"],
+             [sys.executable, "-c", "import numpy"],
+             [sys.executable, "-m", "cavityssh.cli", "kerr-scan", "--config", str(config),
+              "--out", str(tmp_path / "out")]]
+    result = run_python("-c", LAUNCH, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    (code_pass, floor), (code_numpy, numpy_peak), (code_kerr, kerr_peak) = \
+        json.loads(result.stdout)
+    assert [code_pass, code_numpy, code_kerr] == [0, 0, 0]
+    assert numpy_peak > floor  # the numpy child's peak is its own, not the launcher's
+    assert kerr_peak - numpy_peak <= 8.5 * 1024
