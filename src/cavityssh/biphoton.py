@@ -6,6 +6,11 @@ The vertex is the interaction kernel of `vertex` evaluated on the band-edge
 momenta q*(omega) of `lattice.edge_momentum_map`.
 Schmidt modes come from the SVD of the amplitude with the grid measure
 absorbed, so coefficients and entropies are resolution-independent.
+
+No function writes an array its caller passed in. Each lets go of its
+arguments once it has what it needs from them, so a caller that passes
+temporaries holds one amplitude besides LAPACK's copy at the SVD, as
+`entropy_scan` does for the pump, the kernel and the output state of each row.
 """
 
 from __future__ import annotations
@@ -57,10 +62,13 @@ class EntropyScanRow(NamedTuple):
 
 
 def _normalize(amplitude: np.ndarray, spacing: float) -> np.ndarray:
+    """Divide `amplitude`, which the caller allocated, in place by its norm
+    on the grid measure; returns it."""
     norm_sq = float(pairwise_sum(np.abs(amplitude.ravel()) ** 2)) * spacing**2
     if norm_sq < 1e-280:
         raise ZeroNormError("two-photon amplitude vanishes identically")
-    return amplitude / np.sqrt(norm_sq)
+    amplitude /= np.sqrt(norm_sq)
+    return amplitude
 
 
 def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> BiphotonState:
@@ -85,15 +93,21 @@ def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> BiphotonSta
 
 
 def apply_vertex(state: BiphotonState, vertex_values: np.ndarray) -> BiphotonState:
-    """Multiply the amplitude pointwise by the sampled vertex and renormalize."""
+    """Multiply the amplitude pointwise by the sampled vertex and renormalize.
+
+    Both arguments are let go once their product is formed, so a pump or a
+    kernel passed as a temporary is freed before the normalization.
+    """
     vertex_values = np.asarray(vertex_values)
     if vertex_values.shape != state.amplitude.shape:
         raise ValueError(
             f"vertex sample shape {vertex_values.shape} does not match state "
             f"{state.amplitude.shape}"
         )
+    grid = state.grid
     product = state.amplitude * vertex_values
-    return BiphotonState(grid=state.grid, amplitude=_normalize(product, state.grid.spacing))
+    del state, vertex_values
+    return BiphotonState(grid=grid, amplitude=_normalize(product, grid.spacing))
 
 
 def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
@@ -101,8 +115,12 @@ def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
 
     The grid spacing is absorbed into the matrix (amplitude * d omega), making
     the weights invariant under grid refinement. Entropy uses 0 ln 0 = 0.
+    The state is let go once the scaled matrix is formed, so a state passed
+    as a temporary is freed before the SVD.
     """
-    singular = svd_singular_values(state.amplitude * state.grid.spacing)
+    matrix = state.amplitude * state.grid.spacing
+    del state
+    singular = svd_singular_values(matrix)
     weights = singular**2
     weights = weights / float(pairwise_sum(weights))
     positive = weights[weights > 0]
@@ -121,22 +139,12 @@ def scattered_pair(
     band-edge momentum coordinates (frequencies below the edge map to q* = 0,
     where the kernel saturates). The geometric character of the resulting
     spectrum is summarized by a log-linear fit of the leading four weights:
-    reported ratio exp(slope) and its R^2.
+    reported ratio exp(slope) and its R^2. A pump passed as a temporary is
+    freed once the output state is formed.
     """
-    vertex = _kernel_matrix(edge_momentum_map(pump.grid.values, edge), kern)
-    out = apply_vertex(pump, vertex)
-    spectrum = schmidt_decompose(out)
-    leading = tuple(float(x) for x in spectrum.coefficients[:4])
-    ratio_fit, fit_r2 = _geometric_fit(np.asarray(leading))
-    row = EntropyScanRow(
-        zeta=float(kern.zeta),
-        entropy_nats=spectrum.entropy_nats,
-        entropy_bits=spectrum.entropy_bits,
-        leading=leading,
-        ratio_fit=ratio_fit,
-        fit_r2=fit_r2,
-    )
-    return out, row
+    out = apply_vertex(pump, _kernel_matrix(edge_momentum_map(pump.grid.values, edge), kern))
+    del pump
+    return out, _scan_row(kern, schmidt_decompose(out))
 
 
 def entropy_scan(
@@ -148,9 +156,34 @@ def entropy_scan(
     v0: float,
 ) -> list[EntropyScanRow]:
     """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel:
-    one `scattered_pair` row per zeta, all from the same Gaussian pump."""
-    pump = input_state(grid, omega0, sigma)
-    return [scattered_pair(pump, InteractionKernel(v0, zeta), edge)[1] for zeta in zeta_values]
+    one `scattered_pair` row per zeta, all from the same Gaussian pump.
+
+    Each row builds its pump, kernel and output state as temporaries, so
+    none of them is held through the SVD; rebuilding the pump costs one
+    65,536-cell normalization per row on the 256^2 grid.
+    """
+    kernels = [InteractionKernel(v0, zeta) for zeta in zeta_values]
+    momenta = edge_momentum_map(grid.values, edge)
+    return [
+        _scan_row(kern, schmidt_decompose(apply_vertex(
+            input_state(grid, omega0, sigma), _kernel_matrix(momenta, kern))))
+        for kern in kernels
+    ]
+
+
+def _scan_row(kern: InteractionKernel, spectrum: SchmidtSpectrum) -> EntropyScanRow:
+    """The scan row of one kernel's spectrum: its entropies, leading four
+    weights and their geometric fit."""
+    leading = tuple(float(x) for x in spectrum.coefficients[:4])
+    ratio_fit, fit_r2 = _geometric_fit(np.asarray(leading))
+    return EntropyScanRow(
+        zeta=float(kern.zeta),
+        entropy_nats=spectrum.entropy_nats,
+        entropy_bits=spectrum.entropy_bits,
+        leading=leading,
+        ratio_fit=ratio_fit,
+        fit_r2=fit_r2,
+    )
 
 
 def _geometric_fit(leading: np.ndarray) -> tuple[float, float]:

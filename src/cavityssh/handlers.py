@@ -154,16 +154,21 @@ def _scan_columns(rows):
 
 
 def _run_biphoton(cfg: RunConfig, log):
-    grid = cfg.omega_grid
-    pump = input_state(grid, cfg.params["omega0"], cfg.params["sigma"])
-    out, row = scattered_pair(pump, cfg.kernel, band_edge_params(cfg.model))
+    grid, omega0, sigma = cfg.omega_grid, cfg.params["omega0"], cfg.params["sigma"]
+    # the pump goes in as a temporary, freed before the SVD, and is rebuilt
+    # for its column once the output state is gone
+    out, row = scattered_pair(input_state(grid, omega0, sigma), cfg.kernel,
+                              band_edge_params(cfg.model))
+    density_out = np.abs(out.amplitude) ** 2
+    del out
+    density_in = np.abs(input_state(grid, omega0, sigma).amplitude) ** 2
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     # a matrix is written row by row, so its columns are the rows of its transpose
     emissions = [
-        ("biphoton_in.csv", f"# |psi_in|^2 on {describe}", (np.abs(pump.amplitude) ** 2).T),
+        ("biphoton_in.csv", f"# |psi_in|^2 on {describe}", density_in.T),
         ("biphoton_out.csv",
          f"# |psi_out|^2 at zeta={format(cfg.kernel.zeta, '.17g')} on {describe}",
-         (np.abs(out.amplitude) ** 2).T),
+         density_out.T),
         ("schmidt.csv", _SCHMIDT_HEADER, _scan_columns([row])),
     ]
     return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}

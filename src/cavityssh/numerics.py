@@ -4,8 +4,9 @@ finding, fits, SVD, and the one layer that knows how pinned cells are rounded.
 Every reduction has one bracketing, repeated adjacent pairing, so results are
 bitwise reproducible regardless of how callers chunk their work. Zone sums
 keep their summands in `reduction_order`, where each round of that pairing is
-one contiguous in-place add (`_reduce_in_place`); `pairwise_sum` gathers its
-input into that order and runs the same rounds, so there is one reduction.
+one contiguous in-place add (`_reduce_in_place`); `pairwise_sum` runs its first
+round as it gathers, into a half-length buffer, puts the sums in that order and
+runs the same rounds, so there is one reduction.
 The `_py_*` replicas round a complex product, quotient or float square on
 float arrays as the Python scalar expression does; every array map pinned to
 a per-point scalar chain (`cavity`, `keldysh`, `dressing`, `vertex`) is built
@@ -73,13 +74,21 @@ def pairwise_sum(values: np.ndarray):
     (deterministic reduction order).
 
     An odd tail element is carried into the next round unchanged, so the
-    bracketing is a pure function of the input length. The summands are
-    gathered once into `reduction_order` and summed there in place.
+    bracketing is a pure function of the input length. The first round,
+    a[2j] + a[2j + 1] with the even summand on the left, is written straight
+    into n - m cells with the odd tail at s[m]; those sums are gathered into
+    `reduction_order(n - m)` and the remaining rounds run there in place.
     """
     a = np.asarray(values).reshape(-1)
-    if a.size == 0:
+    n = a.size
+    if n == 0:
         return a.dtype.type(0)
-    return _reduce_in_place(a[reduction_order(a.size)])
+    m = n // 2
+    s = np.empty(n - m, dtype=a.dtype)
+    np.add(a[0 : 2 * m : 2], a[1 : 2 * m : 2], out=s[:m])
+    if n % 2:
+        s[m] = a[n - 1]
+    return _reduce_in_place(s[reduction_order(n - m)])
 
 
 # CPython rounds a complex * or / of Python numbers as plain double operations
@@ -198,6 +207,6 @@ def polyfit_quadratic(xs: Sequence[float], ys: Sequence[complex]):
 def svd_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of m, nonincreasing. Rejects non-finite entries."""
     m = np.asarray(m)
-    if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise NonFiniteEntryError("matrix contains nan/inf entries")
     return np.linalg.svd(m, compute_uv=False)

@@ -1,6 +1,7 @@
 """Quadrature, root finding, and linear-algebra helpers against closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ def test_pairwise_sum_axis_matches_full_reduction():
     m = rng.standard_normal((13, 7))
     by_rows = pairwise_sum([pairwise_sum(row) for row in m])
     assert abs(by_rows - math.fsum(m.ravel())) < 1e-12
+
+
+def test_a_sum_of_65536_floats_traces_under_0_8_mib():
+    """The first round is written into half-length cells as the summands are
+    read, so a sum of 65,536 float64 (0.5 MiB) holds those sums, their
+    `reduction_order` index and their gathered copy, a quarter MiB each:
+    0.75 MiB traced. Gathering the whole input before the first round traced
+    1.00 MiB."""
+    values = np.random.default_rng(5).random(65536)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairwise_sum(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 0.8 * 2**20
 
 
 FINITE = st.floats(-1e300, 1e300)  # 70 terms cannot overflow
@@ -391,5 +412,14 @@ def test_svd_invariant_under_permutations():
 def test_svd_rejects_non_finite():
     bad = np.eye(3)
     bad[1, 1] = np.nan
+    with pytest.raises(NonFiniteEntryError):
+        svd_singular_values(bad)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_svd_rejects_a_non_finite_part_of_a_complex_entry(part, value):
+    bad = np.eye(3, dtype=complex)
+    setattr(bad[2:, 1:2], part, value)
     with pytest.raises(NonFiniteEntryError):
         svd_singular_values(bad)
