@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 One invocation = one command + one JSON config + one output directory.
-Handlers compute everything first and only then write, so a failed run never
-leaves half-written data files; the manifest is emitted exactly once either
-way, carrying checksums on success and a machine-readable error record on
-failure. Exit codes: 0 ok, 2 invalid config, 3 computation failed, 4 I/O.
+Handlers compute everything first and only then write, so a failed
+computation leaves no data file; the manifest is emitted exactly once either
+way, carrying checksums of the files written in full, and a machine-readable
+error record on failure. Exit codes: 0 ok, 2 invalid config, 3 computation
+failed, 4 I/O (with a manifest wherever one can still be written).
 
 This module and `config` import no numpy and no numerical module, so
 `--help`, `--version` and every invalid config exit before numpy loads.
@@ -87,15 +88,9 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return 4
 
-    def emit_manifest(names, convergence, metadata, error=None):
-        write_manifest(
-            args.out, args.command, __version__, cfg.raw, names,
-            wall_clock=round(time.monotonic() - started, 6),
-            convergence=convergence, metadata=metadata, blas=_BLAS, error=error,
-        )
-
+    code, error, written = 0, None, []
     try:
-        emissions, convergence, metadata = _HANDLERS[args.command](cfg, log)
+        emissions, flags, metadata = _HANDLERS[args.command](cfg, log)
     except Exception as exc:
         # library errors are expected; anything else (MemoryError from an
         # oversized grid, say) still ends as exit 3 with a manifest
@@ -106,27 +101,33 @@ def main(argv=None) -> int:
             import traceback
 
             traceback.print_exc(file=sys.stderr)
+        code, error = 3, exc
+    else:
         try:
-            emit_manifest(
-                [], {"completed": False}, {},
-                error={"type": type(exc).__name__, "message": str(exc)},
-            )
-        except OSError:
-            return 4
-        return 3
+            for name, first_line, columns in emissions:
+                path = os.path.join(args.out, name)
+                write_csv(path, first_line, columns)
+                written.append(name)
+                log(f"wrote {path}")
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            code, error = 4, exc
 
+    record = {"command": args.command, "version": __version__, "config": cfg.raw, "blas": _BLAS,
+              "wall_clock_seconds": round(time.monotonic() - started, 6)}
+    if error is None:
+        record.update(convergence={"completed": True, **flags}, metadata=metadata)
+    else:
+        record.update(convergence={"completed": False}, metadata={},
+                      error={"type": type(error).__name__, "message": str(error)})
     try:
-        written = []
-        for name, first_line, columns in emissions:
-            path = os.path.join(args.out, name)
-            write_csv(path, first_line, columns)
-            written.append(name)
-            log(f"wrote {path}")
-        emit_manifest(written, convergence, metadata)
+        # `outputs` lists only the files written in full
+        write_manifest(args.out, written, record)
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        if code == 0:
+            print(f"output error: {exc}", file=sys.stderr)
         return 4
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
-"""The command handlers: each maps a validated RunConfig onto one library call.
+"""The command handlers: each turns a validated RunConfig into its CSV columns.
 
-A handler returns (emissions, convergence, metadata): each emission is a file
-name, its first line and its columns for `output.write_csv`. Importing this
+Most map the config onto one library call; `bands` masks the gapless points
+of four lattice calls, `saddle` evaluates the vertex on the square of its
+grid at or above the band edge, `biphoton` rebuilds the pump after the
+decomposition, and `kerr-scan` turns the scan's rows into columns. A handler
+returns (emissions, flags, metadata): each emission is a file name, its first
+line and its columns for `output.write_csv`; the flags are its own
+convergence flags, beside which `cli` states completion. Importing this
 module loads numpy and every numerical module, so `cli.main` imports it only
 once the config is valid.
 """
@@ -19,6 +24,7 @@ from .kerr import KerrResult, kerr_scan
 from .lattice import (
     GAPLESS_FLOOR, band_edge_params, band_energies, band_gap, bloch_phase, dipole, zak_phase,
 )
+from .output import CELL
 from .vertex import gamma4_direct_grid, gamma4_stationary
 
 _BUBBLE_NOTE = (
@@ -34,9 +40,9 @@ _KERNEL_NOTE = (
 def _grid_columns(outer, inner):
     """The coordinate columns of an (outer, inner) map read row by row, to sit
     beside the map's .ravel(): outer repeated, inner cycled, as text columns.
-    Each distinct coordinate is formatted once, as `write_csv` would print it."""
-    outer_text = ["%.17g" % x for x in outer.tolist()]
-    inner_text = ["%.17g" % x for x in inner.tolist()]
+    Each distinct coordinate is formatted once, as a CELL."""
+    outer_text = [CELL % x for x in outer.tolist()]
+    inner_text = [CELL % x for x in inner.tolist()]
     return [text for text in outer_text for _ in inner_text], inner_text * len(outer_text)
 
 
@@ -51,20 +57,20 @@ def _run_bands(cfg: RunConfig, log):
     mu[gapped] = dipole(ks[gapped], cfg.model)
     theta[gapped] = bloch_phase(ks[gapped], cfg.model)
     emissions = [("bands.csv", "k,gap,eps_v,eps_c,mu,theta", (ks, gaps, e_v, e_c, mu, theta))]
-    return emissions, {"completed": True}, {"gapless_points": int(np.count_nonzero(~gapped))}
+    return emissions, {}, {"gapless_points": int(np.count_nonzero(~gapped))}
 
 
 def _run_zak(cfg: RunConfig, log):
     phase = zak_phase(cfg.model, n_k=cfg.n_k)
     columns = ([cfg.model.t1], [cfg.model.t2], [phase])
-    return [("zak.csv", "t1,t2,zak", columns)], {"completed": True}, {}
+    return [("zak.csv", "t1,t2,zak", columns)], {}, {}
 
 
 def _run_self_energy(cfg: RunConfig, log):
     sigma = self_energy_spectrum(cfg.omega_grid, cfg.model, cfg.cavity, cfg.n_k)
     columns = (cfg.omega_grid.values, sigma.real, sigma.imag)
     emissions = [("self_energy.csv", "omega,ReSigma,ImSigma", columns)]
-    return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
+    return emissions, {}, {"normalization": _BUBBLE_NOTE}
 
 
 def _run_spectrum(cfg: RunConfig, log):
@@ -72,7 +78,7 @@ def _run_spectrum(cfg: RunConfig, log):
     smap = spectral_map(cfg.omega_grid, cfg.q_grid, cfg.model, cfg.cavity, cfg.n_k)
     columns = (*_grid_columns(cfg.omega_grid.values, cfg.q_grid.values), smap.ravel())
     emissions = [("spectrum.csv", "omega,q,A", columns)]
-    return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
+    return emissions, {}, {"normalization": _BUBBLE_NOTE}
 
 
 def _run_hopfield(cfg: RunConfig, log):
@@ -82,7 +88,7 @@ def _run_hopfield(cfg: RunConfig, log):
     )
     emissions = [("hopfield.csv", "q,lower,upper", (qs, lower, upper))]
     meta = {"reference": "two-level branches, splitting 2g at the q=0 resonance"}
-    return emissions, {"completed": True}, meta
+    return emissions, {}, meta
 
 
 def _run_kerr_scan(cfg: RunConfig, log):
@@ -100,17 +106,13 @@ def _run_kerr_scan(cfg: RunConfig, log):
                uprime.real, uprime.imag, [fit.fit_residual for fit in fits],
                [row.converged for row in scan])
     emissions = [("kerr.csv", "r,omega0,ReU,ImU,ReUprime,ImUprime,residual,converged", columns)]
-    convergence = {
-        "completed": True,
-        "all_rows_converged": all(row.converged for row in scan),
-    }
     meta = {
         "protocol": "omega_c re-pinned to the moving band edge 2|t1-t2| per ratio",
         "unconverged_rows": [{"r": row.r, "iterations": row.divergence[0],
                               "residual": row.divergence[1]}
                              for row in scan if not row.converged],
     }
-    return emissions, convergence, meta
+    return emissions, {"all_rows_converged": all(row.converged for row in scan)}, meta
 
 
 def _run_vertex(cfg: RunConfig, log):
@@ -120,7 +122,7 @@ def _run_vertex(cfg: RunConfig, log):
     columns = (*_grid_columns(omegas, omegas), grid.real.ravel(), grid.imag.ravel(), "direct")
     emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
     meta = {"normalization": "bare-bubble vertex, no coupling prefactor"}
-    return emissions, {"completed": True}, meta
+    return emissions, {}, meta
 
 
 def _run_saddle(cfg: RunConfig, log):
@@ -137,12 +139,11 @@ def _run_saddle(cfg: RunConfig, log):
     columns = (*_grid_columns(omegas, omegas), values.real.ravel(), values.imag.ravel(),
                "stationary")
     emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
-    convergence = {"completed": True, "all_above_threshold": below == 0}
     meta = {
         "normalization": "bare-bubble vertex, no coupling prefactor",
         "below_threshold_points": below,
     }
-    return emissions, convergence, meta
+    return emissions, {"all_above_threshold": below == 0}, meta
 
 
 _SCHMIDT_HEADER = "zeta,S_nats,S_bits,lambda0,lambda1,lambda2,lambda3,ratio_fit,fit_r2"
@@ -167,11 +168,11 @@ def _run_biphoton(cfg: RunConfig, log):
     emissions = [
         ("biphoton_in.csv", f"# |psi_in|^2 on {describe}", density_in.T),
         ("biphoton_out.csv",
-         f"# |psi_out|^2 at zeta={format(cfg.kernel.zeta, '.17g')} on {describe}",
+         f"# |psi_out|^2 at zeta={CELL % cfg.kernel.zeta} on {describe}",
          density_out.T),
         ("schmidt.csv", _SCHMIDT_HEADER, _scan_columns([row])),
     ]
-    return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
+    return emissions, {}, {"kernel": _KERNEL_NOTE}
 
 
 def _run_schmidt_scan(cfg: RunConfig, log):
@@ -181,7 +182,7 @@ def _run_schmidt_scan(cfg: RunConfig, log):
         cfg.params["sigma"], edge, v0=cfg.kernel.v0,
     )
     emissions = [("schmidt_scan.csv", _SCHMIDT_HEADER, _scan_columns(scan))]
-    return emissions, {"completed": True}, {"kernel": _KERNEL_NOTE}
+    return emissions, {}, {"kernel": _KERNEL_NOTE}
 
 
 def _run_dressed_bands(cfg: RunConfig, log):
@@ -194,7 +195,7 @@ def _run_dressed_bands(cfg: RunConfig, log):
     emissions = [("dressed_bands.csv", "k,omega,ReScv,ImScv,Eplus,Eminus", columns)]
     meta = {"mu_factorization": "mu(k,q) = mu(k); photon momentum enters only "
                                 "through the cavity branch"}
-    return emissions, {"completed": True}, meta
+    return emissions, {}, meta
 
 
 def _run_keldysh(cfg: RunConfig, log):
@@ -205,7 +206,7 @@ def _run_keldysh(cfg: RunConfig, log):
                kmap.g_keldysh.real.ravel(), kmap.g_keldysh.imag.ravel(),
                kmap.spectral.ravel(), kmap.occupation.ravel())
     emissions = [("keldysh.csv", "omega,q,ReGK,ImGK,A,n", columns)]
-    return emissions, {"completed": True}, {"normalization": _BUBBLE_NOTE}
+    return emissions, {}, {"normalization": _BUBBLE_NOTE}
 
 
 _HANDLERS = {

@@ -23,6 +23,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+# how every numeric cell prints: 17 significant digits, so each float64 round-trips
+CELL = "%.17g"
 _BLOCK_CELLS = 4096
 
 
@@ -35,8 +37,8 @@ def write_csv(path: str, first_line: str, columns) -> None:
     """Write `first_line`, then one line per row of the columns ("\n" endings).
 
     Every numeric column, bools included, is read as float64 and each cell
-    prints as "%.17g", which is format(x, ".17g") for every float, nan, inf
-    and -0.0 included, and 1 and 0 for True and False. A list of `str` is a
+    prints as CELL, which is format(x, ".17g") for every float, nan, inf and
+    -0.0 included, and 1 and 0 for True and False. A list of `str` is a
     text column: each cell prints verbatim, so a caller that repeats few
     distinct values can format each once. A `str` in place of a column is a
     constant column, printed verbatim on every line. A matrix passed as
@@ -62,7 +64,7 @@ def write_csv(path: str, first_line: str, columns) -> None:
                          f"got shapes {shapes}")
     (rows,) = shapes[0]
     template = ",".join(column.replace("%", "%%") if isinstance(column, str)
-                        else "%.17g" if isinstance(column, np.ndarray) else "%s"
+                        else CELL if isinstance(column, np.ndarray) else "%s"
                         for column in columns) + "\n"
     width = len(varying)
     step = max(1, _BLOCK_CELLS // width)
@@ -85,49 +87,19 @@ def sha256_of(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(
-    out_dir: str,
-    command: str,
-    version: str,
-    config_echo: dict,
-    output_names,
-    wall_clock: float,
-    convergence: dict,
-    metadata: dict,
-    blas: dict,
-    error: dict | None,
-) -> str:
-    """Emit manifest.json next to the outputs; returns its path.
+def write_manifest(out_dir: str, output_names, record: dict) -> str:
+    """Write manifest.json next to the outputs: `record` plus an `outputs`
+    entry for each of `output_names`; returns its path.
 
-    Checksums are computed from the files as written, so a reader can verify
-    the dataset round-trips. `blas` records the BLAS idle policy the run
-    started with; `error` is the machine-readable failure record for partial
-    runs.
+    Each entry's checksum and size are read from the file as written, so a
+    reader can verify the dataset round-trips.
     """
     outputs = []
     for name in output_names:
         path = os.path.join(out_dir, name)
-        outputs.append(
-            {
-                "file": name,
-                "sha256": sha256_of(path),
-                "bytes": os.path.getsize(path),
-            }
-        )
-    manifest = {
-        "command": command,
-        "version": version,
-        "config": config_echo,
-        "outputs": outputs,
-        "wall_clock_seconds": wall_clock,
-        "convergence": convergence,
-        "metadata": metadata,
-        "blas": blas,
-    }
-    if error is not None:
-        manifest["error"] = error
+        outputs.append({"file": name, "sha256": sha256_of(path), "bytes": os.path.getsize(path)})
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump({**record, "outputs": outputs}, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path

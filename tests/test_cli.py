@@ -801,6 +801,84 @@ def test_unexpected_handler_exception_exits_3(tmp_path, monkeypatch, capsys):
     assert "RuntimeError: handler bug" in capsys.readouterr().err
 
 
+MANIFEST_KEYS = {"blas", "command", "config", "convergence", "metadata", "outputs", "version",
+                 "wall_clock_seconds"}
+BIPHOTON_DOC = {
+    "model": {"t1": 1.0, "t2": 0.5},
+    "kernel": {"v0": 1.0, "zeta": 1.0},
+    "grids": {"omega": {"start": 0.6, "stop": 1.4, "count": 8}},
+    "params": {"omega0": 1.0, "sigma": 0.1},
+}
+
+
+def checked_manifest(out_dir, completed):
+    """The manifest, once its schema is checked: the exact key set, `error`
+    only on failure, and each output's digest and size those on disk."""
+    manifest = read_manifest(out_dir)
+    assert set(manifest) == MANIFEST_KEYS | (set() if completed else {"error"})
+    assert manifest["convergence"]["completed"] is completed
+    if not completed:
+        assert set(manifest["error"]) == {"type", "message"}
+    for entry in manifest["outputs"]:
+        data = (out_dir / entry["file"]).read_bytes()
+        assert entry == {"file": entry["file"], "sha256": hashlib.sha256(data).hexdigest(),
+                         "bytes": len(data)}
+    return manifest
+
+
+def test_manifest_schema_of_a_completed_and_a_failed_run(tmp_path):
+    code, out_dir = run_cli(tmp_path, BANDS_DOC, "bands")
+    assert code == 0
+    manifest = checked_manifest(out_dir, completed=True)
+    assert [entry["file"] for entry in manifest["outputs"]] == ["bands.csv"]
+    assert manifest["wall_clock_seconds"] >= 0
+
+    # r = 1 closes the gap, so the ladder has no band edge to pin to
+    doc = {"model": {"t1": 1.0, "t2": 0.5}, "params": {"r_values": [1.0]}}
+    code, out_dir = run_cli(tmp_path, doc, "kerr-scan", out="failed")
+    assert code == 3
+    manifest = checked_manifest(out_dir, completed=False)
+    assert (manifest["convergence"], manifest["metadata"], manifest["outputs"]) == (
+        {"completed": False}, {}, [])
+
+
+def test_two_runs_of_one_config_write_one_manifest_but_for_the_wall_clock(tmp_path):
+    manifests = []
+    for out in ("one", "two"):
+        code, out_dir = run_cli(tmp_path, BANDS_DOC, "bands", out=out)
+        assert code == 0
+        manifest = read_manifest(out_dir)
+        del manifest["wall_clock_seconds"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("command, doc, blocked, written", [
+    ("zak", {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}}, "zak.csv", []),
+    ("biphoton", BIPHOTON_DOC, "biphoton_out.csv", ["biphoton_in.csv"]),
+])
+def test_an_output_error_exits_4_with_a_manifest_of_the_files_written(
+        tmp_path, capsys, command, doc, blocked, written):
+    """A directory where an output file should be stops the writes with exit
+    4; the manifest still records the failure and the files written in full."""
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    code, out_dir = run_cli(tmp_path, doc, command)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("output error: [Errno 21] Is a directory")
+    manifest = checked_manifest(out_dir, completed=False)
+    assert manifest["error"]["type"] == "IsADirectoryError"
+    assert [entry["file"] for entry in manifest["outputs"]] == written
+
+
+def test_an_unwritable_manifest_still_exits_4(tmp_path, capsys):
+    (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+    code, out_dir = run_cli(tmp_path, {"model": {"t1": 1.0, "t2": 1.5}, "grids": {"n_k": 64}},
+                            "zak")
+    assert code == 4
+    assert capsys.readouterr().err.startswith("output error: [Errno 21] Is a directory")
+    assert sorted(os.listdir(out_dir)) == ["manifest.json", "zak.csv"]
+
+
 CHAIN = {"t1": 1.0, "t2": 0.5}
 OMEGA4 = {"start": 0.6, "stop": 1.4, "count": 4}
 

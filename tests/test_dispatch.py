@@ -10,7 +10,6 @@ only, and no machine setting is touched.
 """
 
 import ast
-import importlib.util
 import json
 import os
 import platform
@@ -21,9 +20,10 @@ from collections import Counter
 import pytest
 
 import cavityssh
+from seed0 import BENCH
+from seed0 import seed0_runs as benchmark_runs
 
 SRC = os.path.dirname(os.path.abspath(cavityssh.__file__))
-BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 
 SETTINGS = {
     "numpy-avx2": ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR"),
@@ -64,16 +64,10 @@ MOVING = {
 
 def seed0_runs():
     """{run name: (command, config, output files)} of every seed-0 benchmark run."""
-    path = os.path.join(BENCH, "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
     with open(os.path.join(BENCH, "expected_sha256.json"), encoding="utf-8") as handle:
         expected = json.load(handle)
     return {run.name: (run.command, run.config, sorted(expected[name][run.name]))
-            for name, workload in workloads.WORKLOADS.items()
-            for run in workloads.generate(workload, 0)}
+            for name, run in benchmark_runs()}
 
 
 def harness_runs():

@@ -7,17 +7,14 @@ through cli.main at --threads 2, as the benchmark runs it.
 
 import glob
 import hashlib
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
 from cavityssh.cli import main
 from cavityssh.config import parse_config
-
-BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+from seed0 import BENCH, seed0_runs
 
 # The Schmidt weights come from an SVD whose last bits depend on how many
 # threads OpenBLAS runs (ROADMAP item 3, with item 4): at one BLAS thread 30
@@ -26,28 +23,15 @@ BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 BLAS_DEPENDENT = {"schmidt.csv", "schmidt_scan.csv"}
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(BENCH, "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
 def _pinned_runs():
-    workloads = _load_workloads()
     with open(os.path.join(BENCH, "expected_sha256.json"), encoding="utf-8") as handle:
         expected = json.load(handle)
     cases = []
-    for name, workload in workloads.WORKLOADS.items():
-        for run in workloads.generate(workload, 0):
-            files = {file: digest for file, digest in expected[name][run.name].items()
-                     if file not in BLAS_DEPENDENT}
-            if files:
-                cases.append(pytest.param(run.command, run.config, files,
-                                          id=f"{name}-{run.name}"))
+    for name, run in seed0_runs():
+        files = {file: digest for file, digest in expected[name][run.name].items()
+                 if file not in BLAS_DEPENDENT}
+        if files:
+            cases.append(pytest.param(run.command, run.config, files, id=f"{name}-{run.name}"))
     return cases
 
 
@@ -62,10 +46,8 @@ def test_seed0_outputs_match_the_pinned_hashes(tmp_path, command, config, files)
 
 
 def test_every_seed0_and_preset_config_fits_the_memory_budget():
-    workloads = _load_workloads()
-    for workload in workloads.WORKLOADS.values():
-        for run in workloads.generate(workload, 0):
-            parse_config(run.config, run.command)
+    for _, run in seed0_runs():
+        parse_config(run.config, run.command)
     presets = sorted(glob.glob(os.path.join(BENCH, "..", "configs", "*.json")))
     assert presets
     for path in presets:

@@ -133,7 +133,6 @@ KEYWORD_DEFAULTS = {
     ("cavity", "BubbleTable.integral", "power"):
         "the ladder's residual needs I, its Newton derivative I' (power 2)",
     ("cli", "main", "argv"): "entry point: None parses sys.argv",
-    ("cli", "main.emit_manifest", "error"): "only a failed run has an error record",
     ("config", "_section", "model"):
         "the sections with derived defaults pass the model; model, grids and a grid have none",
     ("config", "_section", "cavity"): "only params derives a default from the cavity",
@@ -183,3 +182,28 @@ def test_every_keyword_default_is_listed():
              for default in keyword_defaults(name[:-3])]
     assert sorted(set(found) - set(KEYWORD_DEFAULTS)) == []  # a default not listed
     assert sorted(found) == sorted(KEYWORD_DEFAULTS)  # or one listed but gone
+
+
+def test_the_cell_format_and_completion_each_have_one_owner():
+    """`output` alone spells the cell format (docstrings aside), and `cli`
+    alone states whether a run completed: no handler writes "completed"."""
+    package = os.path.join(SRC, "cavityssh")
+    spelled, completed = [], []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            if ".17g" in node.value and id(node) not in docstrings:
+                spelled.append(name)
+            if node.value == "completed" and name == "handlers.py":
+                completed.append(node.lineno)
+    assert spelled == ["output.py"]
+    assert completed == []

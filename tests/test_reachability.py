@@ -9,16 +9,15 @@ reached only by tests and belongs in `tests/reference.py`, or nowhere.
 """
 
 import ast
-import importlib.util
 import json
 import os
 import sys
 
 import cavityssh
 from cavityssh import cli, handlers
+from seed0 import seed0_runs
 
 SRC = os.path.dirname(os.path.abspath(cavityssh.__file__))
-BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 
 # the commands the benchmark does not run, each on a small config
 SMALL = {
@@ -47,14 +46,8 @@ UNREACHED = {
 
 def seed0_configs():
     """(command, config) of every run of every benchmark workload at seed 0."""
-    path = os.path.join(BENCH, "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    for workload in workloads.WORKLOADS.values():
-        for run in workloads.generate(workload, 0):
-            yield run.command, run.config
+    for _, run in seed0_runs():
+        yield run.command, run.config
 
 
 def defined_functions() -> dict:

@@ -18,7 +18,8 @@ import pytest
 
 import cavityssh
 from cavityssh.config import COMMANDS
-from test_reachability import BENCH, SMALL, seed0_configs
+from seed0 import BENCH
+from test_reachability import SMALL, seed0_configs
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cavityssh.__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(SRC, "..", "configs", "*.json")))
