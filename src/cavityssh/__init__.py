@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "biphoton": (
         "BiphotonState", "SchmidtSpectrum", "EntropyScanRow", "input_state",
-        "apply_vertex", "schmidt_decompose", "scattered_pair", "entropy_scan",
+        "apply_vertex", "schmidt_decompose", "output_state", "entropy_scan",
     ),
     "dressing": (
         "DressedBandSweep", "dressed_band_sweep",

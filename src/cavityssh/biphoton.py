@@ -5,7 +5,8 @@ separable Gaussian pump, psi_out = Gamma(omega1, omega2) phi(omega1) phi(omega2)
 The vertex is the interaction kernel of `vertex` evaluated on the band-edge
 momenta q*(omega) of `lattice.edge_momentum_map`.
 Schmidt modes come from the SVD of the amplitude with the grid measure
-absorbed, so coefficients and entropies are resolution-independent.
+absorbed, so coefficients and entropies are resolution-independent. Every
+output state is an `output_state`, and every Schmidt row an `entropy_scan` row.
 
 No function writes an array its caller passed in. Each lets go of its
 arguments once it has what it needs from them, so a caller that passes
@@ -130,21 +131,17 @@ def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
     )
 
 
-def scattered_pair(
-    pump: BiphotonState, kern: InteractionKernel, edge: BandEdgeParams
-) -> tuple[BiphotonState, EntropyScanRow]:
-    """Output state for one kernel and its Schmidt summary.
+def output_state(grid: FrequencyGrid, omega0: float, sigma: float, edge: BandEdgeParams,
+                 kern: InteractionKernel) -> BiphotonState:
+    """The output state of one kernel: a fresh Gaussian pump times the vertex
+    v0 exp(-zeta (q*(w1) - q*(w2))^2), normalized.
 
-    The vertex is modeled as v0 exp(-zeta (q*(w1) - q*(w2))^2) in the
-    band-edge momentum coordinates (frequencies below the edge map to q* = 0,
-    where the kernel saturates). The geometric character of the resulting
-    spectrum is summarized by a log-linear fit of the leading four weights:
-    reported ratio exp(slope) and its R^2. A pump passed as a temporary is
-    freed once the output state is formed.
+    The vertex is sampled in the band-edge momentum coordinates q*(omega);
+    frequencies below the edge map to q* = 0, where the kernel saturates.
+    The pump and the kernel are freed once their product exists.
     """
-    out = apply_vertex(pump, _kernel_matrix(edge_momentum_map(pump.grid.values, edge), kern))
-    del pump
-    return out, _scan_row(kern, schmidt_decompose(out))
+    return apply_vertex(input_state(grid, omega0, sigma),
+                        _kernel_matrix(edge_momentum_map(grid.values, edge), kern))
 
 
 def entropy_scan(
@@ -156,19 +153,16 @@ def entropy_scan(
     v0: float,
 ) -> list[EntropyScanRow]:
     """Schmidt entropy vs kernel range for the stationary-phase Gaussian kernel:
-    one `scattered_pair` row per zeta, all from the same Gaussian pump.
+    one row per zeta, the decomposition of that kernel's `output_state`.
 
-    Each row builds its pump, kernel and output state as temporaries, so
-    none of them is held through the SVD; rebuilding the pump costs one
-    65,536-cell normalization per row on the 256^2 grid.
+    Each row fits ln(lambda_n) of its leading four weights linearly in n and
+    reports the ratio exp(slope) and its R^2. Each row maps q*(omega) afresh
+    and builds its pump, kernel and output state as temporaries, so none of
+    them is held through the SVD.
     """
     kernels = [InteractionKernel(v0, zeta) for zeta in zeta_values]
-    momenta = edge_momentum_map(grid.values, edge)
-    return [
-        _scan_row(kern, schmidt_decompose(apply_vertex(
-            input_state(grid, omega0, sigma), _kernel_matrix(momenta, kern))))
-        for kern in kernels
-    ]
+    return [_scan_row(kern, schmidt_decompose(output_state(grid, omega0, sigma, edge, kern)))
+            for kern in kernels]
 
 
 def _scan_row(kern: InteractionKernel, spectrum: SchmidtSpectrum) -> EntropyScanRow:

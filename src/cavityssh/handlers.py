@@ -2,8 +2,8 @@
 
 Most map the config onto one library call; `bands` masks the gapless points
 of four lattice calls, `saddle` evaluates the vertex on the square of its
-grid at or above the band edge, `biphoton` rebuilds the pump after the
-decomposition, and `kerr-scan` turns the scan's rows into columns. A handler
+grid at or above the band edge, `biphoton` is a one-zeta scan beside its two
+densities, and `kerr-scan` turns the scan's rows into columns. A handler
 returns (emissions, flags, metadata): each emission is a file name, its first
 line and its columns for `output.write_csv`; the flags are its own
 convergence flags, beside which `cli` states completion. Importing this
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biphoton import entropy_scan, input_state, scattered_pair
+from .biphoton import entropy_scan, input_state, output_state
 from .cavity import hopfield_branches, self_energy_spectrum, spectral_map
 from .config import RunConfig
 from .dressing import dressed_band_sweep
@@ -156,21 +156,17 @@ def _scan_columns(rows):
 
 def _run_biphoton(cfg: RunConfig, log):
     grid, omega0, sigma = cfg.omega_grid, cfg.params["omega0"], cfg.params["sigma"]
-    # the pump goes in as a temporary, freed before the SVD, and is rebuilt
-    # for its column once the output state is gone
-    out, row = scattered_pair(input_state(grid, omega0, sigma), cfg.kernel,
-                              band_edge_params(cfg.model))
-    density_out = np.abs(out.amplitude) ** 2
-    del out
+    edge, kern = band_edge_params(cfg.model), cfg.kernel
     density_in = np.abs(input_state(grid, omega0, sigma).amplitude) ** 2
+    density_out = np.abs(output_state(grid, omega0, sigma, edge, kern).amplitude) ** 2
+    scan = entropy_scan([kern.zeta], grid, omega0, sigma, edge, v0=kern.v0)
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     # a matrix is written row by row, so its columns are the rows of its transpose
     emissions = [
         ("biphoton_in.csv", f"# |psi_in|^2 on {describe}", density_in.T),
-        ("biphoton_out.csv",
-         f"# |psi_out|^2 at zeta={CELL % cfg.kernel.zeta} on {describe}",
+        ("biphoton_out.csv", f"# |psi_out|^2 at zeta={CELL % kern.zeta} on {describe}",
          density_out.T),
-        ("schmidt.csv", _SCHMIDT_HEADER, _scan_columns([row])),
+        ("schmidt.csv", _SCHMIDT_HEADER, _scan_columns(scan)),
     ]
     return emissions, {}, {"kernel": _KERNEL_NOTE}
 

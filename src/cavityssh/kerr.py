@@ -49,14 +49,14 @@ def solve_omega_sequence(
     n_max: int,
     table: BubbleTable,
     c: CavityParams,
-    seed_integral: complex | None = None,
+    seed_integral: complex,
 ) -> np.ndarray:
     """omega_n for n = 0..n_max via complex Newton with continuation seeding.
 
     n = 0 is seeded at omega_c; each higher rung starts from the previous
     solution. The Newton derivative uses the analytic squared-denominator
     bubble. `table` is the zone of the chain at c.eta; `seed_integral` is its
-    I(omega_c), when the caller already has it.
+    I(omega_c).
 
     Each bubble integral I(z) is evaluated once: rung n's last Newton iterate
     is rung n + 1's seed, so the I(z) of rung n's final residual is reused
@@ -70,7 +70,7 @@ def solve_omega_sequence(
     last = [seed, seed_integral]  # the point f saw last and I there
 
     def integral(z: complex) -> complex:
-        if last[1] is None or z != last[0]:
+        if z != last[0]:
             last[:] = z, table.integral(z)
         return last[1]
 

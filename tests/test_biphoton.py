@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavityssh import biphoton
 from cavityssh import (
     BiphotonState,
     FrequencyGrid,
@@ -17,7 +18,7 @@ from cavityssh import (
     edge_momentum_map,
     entropy_scan,
     input_state,
-    scattered_pair,
+    output_state,
     schmidt_decompose,
 )
 
@@ -152,13 +153,14 @@ def test_entropy_scan_grid_refinement_stable():
     assert abs(coarse_row.entropy_nats - fine_row.entropy_nats) < 1e-3
 
 
-def test_scan_rows_are_the_scattered_pair_rows():
-    pump = input_state(GRID, **PUMP)
+def test_scan_rows_decompose_the_output_states():
     rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, v0=1.0, **PUMP)
     kernels = [InteractionKernel(1.0, zeta) for zeta in (0.0, 2.5)]
-    assert rows == [scattered_pair(pump, kern, EDGE)[1] for kern in kernels]
+    states = [output_state(GRID, edge=EDGE, kern=kern, **PUMP) for kern in kernels]
+    assert rows == [biphoton._scan_row(kern, schmidt_decompose(state))
+                    for kern, state in zip(kernels, states)]
     with pytest.raises(ValueError):
-        scattered_pair(pump, InteractionKernel(1.0, -1.0), EDGE)
+        output_state(GRID, edge=EDGE, kern=InteractionKernel(1.0, -1.0), **PUMP)
 
 
 def test_no_function_writes_an_array_of_its_caller():
@@ -173,7 +175,7 @@ def test_no_function_writes_an_array_of_its_caller():
     schmidt_decompose(out)
     schmidt_decompose(pump)
     assert (out.amplitude.tobytes(), pump.amplitude.tobytes()) == (out_bytes, pump_bytes)
-    pair, _ = scattered_pair(pump, InteractionKernel(1.0, 1.5), EDGE)
+    pair = output_state(GRID, edge=EDGE, kern=InteractionKernel(1.0, 1.5), **PUMP)
     assert pump.amplitude.tobytes() == pump_bytes
     assert not np.shares_memory(pair.amplitude, pump.amplitude)
     other = input_state(GRID, omega0=1.05, sigma=0.08)

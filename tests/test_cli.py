@@ -34,9 +34,8 @@ from cavityssh import (
     gamma4_direct_grid,
     gamma4_stationary,
     hopfield_branches,
-    input_state,
     kerr_scan,
-    scattered_pair,
+    output_state,
     zak_phase,
 )
 from cavityssh import config, handlers, numerics
@@ -596,7 +595,7 @@ def test_biphoton_csvs_equal_the_library_output(tmp_path):
     code, out_dir = run_cli(tmp_path, doc, "biphoton")
     assert code == 0
     grid, edge = FrequencyGrid(0.6, 1.4, 24), band_edge_params(SshParams(1.0, 0.5))
-    out, _ = scattered_pair(input_state(grid, 1.0, 0.1), InteractionKernel(1.3, 1.7), edge)
+    out = output_state(grid, 1.0, 0.1, edge, InteractionKernel(1.3, 1.7))
     comment = "# |psi_out|^2 at zeta=1.7 on omega grid start=0.6 stop=1.4 count=24"
     expected = format_cell_csv(comment, (np.abs(out.amplitude) ** 2).tolist())
     assert (out_dir / "biphoton_out.csv").read_bytes() == expected

@@ -25,9 +25,14 @@ TOPO = SshParams(1.0, 1.5)
 KERR_CAV = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.01, eta=1e-3)
 
 
+def ladder_of(n_max, table, c):
+    """The ladder of `table`, seeded with its I(omega_c) as kerr_scan seeds it."""
+    return solve_omega_sequence(n_max, table, c, table.integral(c.omega_c))
+
+
 def test_decoupled_ladder_stays_at_bare_frequency():
     off = CavityParams(omega_c=1.7, mass_beta=0.5, g=0.0, eta=1e-3)
-    ladder = solve_omega_sequence(4, BubbleTable(TOPO, off.eta, 512), off)
+    ladder = ladder_of(4, BubbleTable(TOPO, off.eta, 512), off)
     assert np.all(ladder == 1.7 + 0j)
 
 
@@ -38,14 +43,14 @@ def test_ladder_against_flat_limit_fixed_point():
     chain = SshParams(10.0, 5.0)  # band [10, 30]
     c = CavityParams(omega_c=0.5, mass_beta=0.5, g=0.1, eta=1e-3)
     shift = photon_self_energy(0.5, chain, c, n_k=4096)
-    ladder = solve_omega_sequence(4, BubbleTable(chain, c.eta, 4096), c)
+    ladder = ladder_of(4, BubbleTable(chain, c.eta, 4096), c)
     for n, omega_n in enumerate(ladder):
         predicted = 0.5 + (n + 1) * shift
         assert abs(omega_n - predicted) < 5e-3 * abs((n + 1) * shift)
 
 
 def test_ladder_decays_and_stays_continuous():
-    ladder = solve_omega_sequence(5, BubbleTable(TOPO, KERR_CAV.eta, 16384), KERR_CAV)
+    ladder = ladder_of(5, BubbleTable(TOPO, KERR_CAV.eta, 16384), KERR_CAV)
     assert np.all(ladder.imag <= 0.0)
     sigma_scale = abs(photon_self_energy(1.0, TOPO, KERR_CAV, n_k=16384))
     steps = np.abs(np.diff(ladder))
@@ -76,7 +81,7 @@ def test_fit_needs_enough_rungs():
 
 def test_fit_negative_kerr_at_figure_coupling():
     c = CavityParams(omega_c=1.0, mass_beta=0.5, g=0.05, eta=1e-3)
-    result = kerr_from_fit(solve_omega_sequence(5, BubbleTable(TOPO, c.eta, 16384), c))
+    result = kerr_from_fit(ladder_of(5, BubbleTable(TOPO, c.eta, 16384), c))
     assert result.u.real < 0.0
 
 
@@ -99,7 +104,7 @@ def test_fit_matches_closed_form_at_small_coupling():
     for r in (0.5, 1.5):
         p = SshParams(1.0, r)
         c = CavityParams(omega_c=2.0 * abs(1.0 - r), mass_beta=0.5, g=0.01, eta=1e-3)
-        fit = kerr_from_fit(solve_omega_sequence(5, BubbleTable(p, c.eta, 16384), c))
+        fit = kerr_from_fit(ladder_of(5, BubbleTable(p, c.eta, 16384), c))
         closed = photon_self_energy(c.omega_c, p, c, n_k=16384)
         assert abs(fit.u / closed - 1.0) < 0.05
 
@@ -111,7 +116,7 @@ def test_kerr_scaling_window():
     reduced = {}
     for g in (0.005, 0.01, 0.02):
         c = CavityParams(omega_c=1.0, mass_beta=0.5, g=g, eta=1e-3)
-        fit = kerr_from_fit(solve_omega_sequence(5, BubbleTable(TOPO, c.eta, 16384), c))
+        fit = kerr_from_fit(ladder_of(5, BubbleTable(TOPO, c.eta, 16384), c))
         reduced[g] = fit.u / g**2
         if g <= 0.01:
             assert fit.fit_residual < 1e-6 * abs(fit.u) * 25.0
@@ -122,7 +127,7 @@ def test_kerr_scaling_window():
     trivial = SshParams(1.0, 0.5)
     for g in (0.005, 0.01, 0.02):
         c = CavityParams(omega_c=1.0, mass_beta=0.5, g=g, eta=1e-3)
-        fit = kerr_from_fit(solve_omega_sequence(5, BubbleTable(trivial, c.eta, 16384), c))
+        fit = kerr_from_fit(ladder_of(5, BubbleTable(trivial, c.eta, 16384), c))
         assert fit.fit_residual < 1e-6 * abs(fit.u) * 25.0
 
 
@@ -173,7 +178,7 @@ def test_ladder_makes_at_most_four_integrals_per_rung():
     ladder = solve_omega_sequence(n_max, table, KERR_CAV, seed_integral=at_omega_c)
     assert 0 < table.calls <= 4 * (n_max + 1)
     fresh = BubbleTable(TOPO, KERR_CAV.eta, 16384)
-    assert ladder.tobytes() == solve_omega_sequence(n_max, fresh, KERR_CAV).tobytes()
+    assert ladder.tobytes() == ladder_of(n_max, fresh, KERR_CAV).tobytes()
 
 
 def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
@@ -198,7 +203,7 @@ def test_scan_builds_one_table_per_ratio_and_releases_it(monkeypatch):
         p_r = SshParams(1.0, row.r)
         c_r = KERR_CAV._replace(omega_c=2.0 * abs(1.0 - row.r))
         assert row.u_closed == photon_self_energy(c_r.omega_c, p_r, c_r, n_k=4096)
-        ladder = solve_omega_sequence(3, BubbleTable(p_r, c_r.eta, 4096), c_r)
+        ladder = ladder_of(3, BubbleTable(p_r, c_r.eta, 4096), c_r)
         assert row.result.omega_n.tobytes() == ladder.tobytes()
 
 
@@ -229,7 +234,7 @@ def test_scan_fits_only_after_every_table_is_freed(monkeypatch):
     assert [row.r for row in rows] == [1.5, 0.5, 1.3]
     for row in rows:
         c_r = KERR_CAV._replace(omega_c=2.0 * abs(1.0 - row.r))
-        ladder = solve_omega_sequence(3, BubbleTable(SshParams(1.0, row.r), c_r.eta, 4096), c_r)
+        ladder = ladder_of(3, BubbleTable(SshParams(1.0, row.r), c_r.eta, 4096), c_r)
         assert row.result == kerr_from_fit(ladder)._replace(omega_n=row.result.omega_n)
         assert row.result.omega_n.tobytes() == ladder.tobytes()
         assert row.divergence is None

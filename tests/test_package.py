@@ -136,8 +136,6 @@ KEYWORD_DEFAULTS = {
     ("config", "_section", "model"):
         "the sections with derived defaults pass the model; model, grids and a grid have none",
     ("config", "_section", "cavity"): "only params derives a default from the cavity",
-    ("kerr", "solve_omega_sequence", "seed_integral"):
-        "kerr_scan passes I(omega_c), which it already has; a lone ladder computes it",
 }
 
 
@@ -207,3 +205,33 @@ def test_the_cell_format_and_completion_each_have_one_owner():
                 completed.append(node.lineno)
     assert spelled == ["output.py"]
     assert completed == []
+
+
+def test_every_schmidt_row_comes_from_entropy_scan():
+    """One Schmidt pipeline: `entropy_scan` alone, in the package, refers to
+    `schmidt_decompose` and `_scan_row`, so a single kernel's row is a
+    one-zeta scan row by construction."""
+    package = os.path.join(SRC, "cavityssh")
+    users = {"schmidt_decompose": [], "_scan_row": []}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name in users:
+                users[name].append(".".join(scope))
+            visit(child, scope)
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                visit(ast.parse(handle.read(), name), [name[:-3]])
+    assert users == {"schmidt_decompose": ["biphoton.entropy_scan"],
+                     "_scan_row": ["biphoton.entropy_scan"]}
