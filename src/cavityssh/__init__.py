@@ -31,8 +31,8 @@ _EXPORTS = {
         "gamma4_direct_grid", "gamma4_stationary",
     ),
     "biphoton": (
-        "BiphotonState", "SchmidtSpectrum", "EntropyScanRow", "input_state",
-        "apply_vertex", "schmidt_decompose", "output_state", "entropy_scan",
+        "SchmidtSpectrum", "EntropyScanRow", "input_state", "schmidt_decompose",
+        "output_state", "entropy_scan",
     ),
     "dressing": (
         "DressedBandSweep", "dressed_band_sweep",

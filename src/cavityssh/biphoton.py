@@ -4,7 +4,8 @@ The emitted pair amplitude is the vertex sampled on a frequency grid times a
 separable Gaussian pump, psi_out = Gamma(omega1, omega2) phi(omega1) phi(omega2).
 The vertex is the interaction kernel of `vertex` evaluated on the band-edge
 momenta q*(omega) of `lattice.edge_momentum_map`.
-Schmidt modes come from the SVD of the amplitude with the grid measure
+An amplitude is a plain complex (n, n) array on grid x grid, normalized to
+unit L2 measure. Schmidt modes come from its SVD with the grid measure
 absorbed, so coefficients and entropies are resolution-independent. Every
 output state is an `output_state`, and every Schmidt row an `entropy_scan` row.
 
@@ -16,7 +17,6 @@ temporaries holds one amplitude besides LAPACK's copy at the SVD, as
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -24,23 +24,10 @@ import numpy as np
 from .errors import GridTooNarrowError, ZeroNormError
 from .lattice import BandEdgeParams, edge_momentum_map
 from .numerics import pairwise_sum, svd_singular_values
-from .params import CheckedRecord, FrequencyGrid, InteractionKernel
+from .params import FrequencyGrid, InteractionKernel
 from .vertex import _kernel_matrix
 
 PUMP_SPAN_SIGMAS = 4.0
-
-
-class BiphotonState(CheckedRecord, namedtuple("BiphotonState", "grid amplitude")):
-    """Two-photon amplitude on grid x grid, normalized to unit L2 measure."""
-
-    __slots__ = ()
-
-    def __new__(cls, grid: FrequencyGrid, amplitude: np.ndarray):
-        amplitude = np.asarray(amplitude, dtype=complex)
-        n = grid.count
-        if amplitude.shape != (n, n):
-            raise ValueError(f"amplitude shape {amplitude.shape}, expected ({n}, {n})")
-        return super().__new__(cls, grid, amplitude)
 
 
 class SchmidtSpectrum(NamedTuple):
@@ -72,8 +59,9 @@ def _normalize(amplitude: np.ndarray, spacing: float) -> np.ndarray:
     return amplitude
 
 
-def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> BiphotonState:
-    """Separable Gaussian pair phi(omega1) phi(omega2), phi ~ exp(-(w-w0)^2/(2 s^2)).
+def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> np.ndarray:
+    """Separable Gaussian pair phi(omega1) phi(omega2), phi ~ exp(-(w-w0)^2/(2 s^2)),
+    normalized on grid x grid.
 
     The grid must span omega0 +- 4 sigma so the pump tails are resolved.
     """
@@ -90,37 +78,20 @@ def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> BiphotonSta
         )
     phi = np.exp(-((grid.values - omega0) ** 2) / (2.0 * sigma**2))
     amplitude = np.outer(phi, phi).astype(complex)
-    return BiphotonState(grid=grid, amplitude=_normalize(amplitude, grid.spacing))
+    return _normalize(amplitude, grid.spacing)
 
 
-def apply_vertex(state: BiphotonState, vertex_values: np.ndarray) -> BiphotonState:
-    """Multiply the amplitude pointwise by the sampled vertex and renormalize.
+def schmidt_decompose(amplitude: np.ndarray, spacing: float) -> SchmidtSpectrum:
+    """Schmidt weights lambda_n = sigma_n^2 / sum sigma^2 from the measured SVD
+    of an amplitude sampled on a grid of the given spacing.
 
-    Both arguments are let go once their product is formed, so a pump or a
-    kernel passed as a temporary is freed before the normalization.
-    """
-    vertex_values = np.asarray(vertex_values)
-    if vertex_values.shape != state.amplitude.shape:
-        raise ValueError(
-            f"vertex sample shape {vertex_values.shape} does not match state "
-            f"{state.amplitude.shape}"
-        )
-    grid = state.grid
-    product = state.amplitude * vertex_values
-    del state, vertex_values
-    return BiphotonState(grid=grid, amplitude=_normalize(product, grid.spacing))
-
-
-def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
-    """Schmidt weights lambda_n = sigma_n^2 / sum sigma^2 from the measured SVD.
-
-    The grid spacing is absorbed into the matrix (amplitude * d omega), making
+    The spacing is absorbed into the matrix (amplitude * d omega), making
     the weights invariant under grid refinement. Entropy uses 0 ln 0 = 0.
-    The state is let go once the scaled matrix is formed, so a state passed
+    The amplitude is let go once the scaled matrix is formed, so one passed
     as a temporary is freed before the SVD.
     """
-    matrix = state.amplitude * state.grid.spacing
-    del state
+    matrix = amplitude * spacing
+    del amplitude
     singular = svd_singular_values(matrix)
     weights = singular**2
     weights = weights / float(pairwise_sum(weights))
@@ -132,16 +103,20 @@ def schmidt_decompose(state: BiphotonState) -> SchmidtSpectrum:
 
 
 def output_state(grid: FrequencyGrid, omega0: float, sigma: float, edge: BandEdgeParams,
-                 kern: InteractionKernel) -> BiphotonState:
+                 kern: InteractionKernel) -> np.ndarray:
     """The output state of one kernel: a fresh Gaussian pump times the vertex
     v0 exp(-zeta (q*(w1) - q*(w2))^2), normalized.
 
     The vertex is sampled in the band-edge momentum coordinates q*(omega);
     frequencies below the edge map to q* = 0, where the kernel saturates.
+    The product is formed out of place, on purpose: an in-place multiply
+    traces less but can put the fig5c child's peak about 0.5 MiB higher.
     The pump and the kernel are freed once their product exists.
     """
-    return apply_vertex(input_state(grid, omega0, sigma),
-                        _kernel_matrix(edge_momentum_map(grid.values, edge), kern))
+    pump = input_state(grid, omega0, sigma)
+    amplitude = pump * _kernel_matrix(edge_momentum_map(grid.values, edge), kern)
+    del pump
+    return _normalize(amplitude, grid.spacing)
 
 
 def entropy_scan(
@@ -161,7 +136,8 @@ def entropy_scan(
     them is held through the SVD.
     """
     kernels = [InteractionKernel(v0, zeta) for zeta in zeta_values]
-    return [_scan_row(kern, schmidt_decompose(output_state(grid, omega0, sigma, edge, kern)))
+    return [_scan_row(kern, schmidt_decompose(output_state(grid, omega0, sigma, edge, kern),
+                                              grid.spacing))
             for kern in kernels]
 
 

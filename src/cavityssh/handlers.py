@@ -119,7 +119,8 @@ def _run_vertex(cfg: RunConfig, log):
     omegas = cfg.omega_grid.values
     log(f"direct vertex on {omegas.size}^2 frequencies at n_k2d={cfg.n_k2d}")
     grid = gamma4_direct_grid(omegas, cfg.model, cfg.cavity, cfg.kernel, cfg.n_k2d)
-    columns = (*_grid_columns(omegas, omegas), grid.real.ravel(), grid.imag.ravel(), "direct")
+    columns = (*_grid_columns(omegas, omegas), grid.real.ravel(), grid.imag.ravel(),
+               ["direct"] * grid.size)
     emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
     meta = {"normalization": "bare-bubble vertex, no coupling prefactor"}
     return emissions, {}, meta
@@ -137,7 +138,7 @@ def _run_saddle(cfg: RunConfig, log):
                                                cfg.cavity.eta)
     below = values.size - above.size * above.size
     columns = (*_grid_columns(omegas, omegas), values.real.ravel(), values.imag.ravel(),
-               "stationary")
+               ["stationary"] * values.size)
     emissions = [("gamma4.csv", "omega1,omega2,ReG4,ImG4,method", columns)]
     meta = {
         "normalization": "bare-bubble vertex, no coupling prefactor",
@@ -157,8 +158,8 @@ def _scan_columns(rows):
 def _run_biphoton(cfg: RunConfig, log):
     grid, omega0, sigma = cfg.omega_grid, cfg.params["omega0"], cfg.params["sigma"]
     edge, kern = band_edge_params(cfg.model), cfg.kernel
-    density_in = np.abs(input_state(grid, omega0, sigma).amplitude) ** 2
-    density_out = np.abs(output_state(grid, omega0, sigma, edge, kern).amplitude) ** 2
+    density_in = np.abs(input_state(grid, omega0, sigma)) ** 2
+    density_out = np.abs(output_state(grid, omega0, sigma, edge, kern)) ** 2
     scan = entropy_scan([kern.zeta], grid, omega0, sigma, edge, v0=kern.v0)
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     # a matrix is written row by row, so its columns are the rows of its transpose

@@ -1,11 +1,11 @@
 """Deterministic dataset emission: CSV files and the per-run manifest.
 
 Every numeric cell is printed with repr-faithful 17 significant digits and a
-dot decimal separator, a text cell or a constant text column verbatim,
-newlines are always "\n", and rows are written in a fixed order, so identical
-config + version means identical bytes. A CSV is streamed: every check runs
-before the file is opened, then one block of rows at a time is formatted and
-written, so the writer's memory does not grow with the table.
+dot decimal separator, a text cell verbatim, newlines are always "\n", and
+rows are written in a fixed order, so identical config + version means
+identical bytes. A CSV is streamed: every check runs before the file is
+opened, then one block of rows at a time is formatted and written, so the
+writer's memory does not grow with the table.
 """
 
 from __future__ import annotations
@@ -40,40 +40,37 @@ def write_csv(path: str, first_line: str, columns) -> None:
     prints as CELL, which is format(x, ".17g") for every float, nan, inf and
     -0.0 included, and 1 and 0 for True and False. A list of `str` is a
     text column: each cell prints verbatim, so a caller that repeats few
-    distinct values can format each once. A `str` in place of a column is a
-    constant column, printed verbatim on every line. A matrix passed as
-    `matrix.T` prints one line per matrix row.
+    distinct values can format each once. These are the two column kinds. A
+    matrix passed as `matrix.T` prints one line per matrix row.
 
     Every check runs before the file is opened: each numeric column is read
     as float64 (a copy only if it is not float64 already) and must be
-    one-dimensional, and all numeric and text columns must be of equal
-    length, else ValueError, so a bad table leaves no file. Then the rows are
+    one-dimensional, and all columns must be of equal length, else
+    ValueError, so a bad table leaves no file. Then the rows are
     streamed a block (about _BLOCK_CELLS cells) at a time: the block's cells
     are laid out row by row in one list, formatted by one row template
     repeated once per row, and written. Only one block is held, as floats and
     as text, so the writer's own memory does not grow with the row count.
     Only an OSError while writing can leave a partial file.
     """
-    columns = [column if isinstance(column, str) or _is_text(column)
-               else np.asarray(column, dtype=float) for column in columns]
-    varying = [column for column in columns if not isinstance(column, str)]
+    columns = [column if _is_text(column) else np.asarray(column, dtype=float)
+               for column in columns]
     shapes = [column.shape if isinstance(column, np.ndarray) else (len(column),)
-              for column in varying]
+              for column in columns]
     if len(set(shapes)) != 1 or len(shapes[0]) != 1:
         raise ValueError(f"numeric and text columns must be 1-D and of equal length, "
                          f"got shapes {shapes}")
     (rows,) = shapes[0]
-    template = ",".join(column.replace("%", "%%") if isinstance(column, str)
-                        else CELL if isinstance(column, np.ndarray) else "%s"
+    template = ",".join(CELL if isinstance(column, np.ndarray) else "%s"
                         for column in columns) + "\n"
-    width = len(varying)
+    width = len(columns)
     step = max(1, _BLOCK_CELLS // width)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(first_line + "\n")
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             block = [None] * ((stop - start) * width)
-            for j, column in enumerate(varying):
+            for j, column in enumerate(columns):
                 part = column[start:stop]
                 block[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
             handle.write(template * (stop - start) % tuple(block))

@@ -214,7 +214,7 @@ def test_criterion_07_spectral_entanglement():
     grid = FrequencyGrid(0.6, 1.4, 256)
 
     pump = input_state(grid, omega0=1.0, sigma=0.1)
-    assert schmidt_decompose(pump).entropy_nats < 1e-10
+    assert schmidt_decompose(pump, grid.spacing).entropy_nats < 1e-10
 
     rows = entropy_scan([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0], grid, 1.0, 0.1, edge, v0=1.0)
     entropies = [row.entropy_nats for row in rows]

@@ -8,12 +8,10 @@ import pytest
 
 from cavityssh import biphoton
 from cavityssh import (
-    BiphotonState,
     FrequencyGrid,
     GridTooNarrowError,
     InteractionKernel,
     SshParams,
-    apply_vertex,
     band_edge_params,
     edge_momentum_map,
     entropy_scan,
@@ -31,16 +29,17 @@ PUMP = dict(omega0=1.0, sigma=0.1)
 
 def test_input_state_is_normalized_and_separable():
     state = input_state(GRID, **PUMP)
-    weight = np.sum(np.abs(state.amplitude) ** 2) * state.grid.spacing**2
+    assert state.shape == (128, 128) and state.dtype == complex
+    weight = np.sum(np.abs(state) ** 2) * GRID.spacing**2
     assert abs(weight - 1.0) < 1e-10
-    assert schmidt_decompose(state).entropy_nats < 1e-10
+    assert schmidt_decompose(state, GRID.spacing).entropy_nats < 1e-10
 
 
 def test_input_state_peaks_at_the_pump_center():
     # 1.0 falls between two nodes of the 128-point grid, so the peak may land
     # on either neighbour; it must be symmetric and within one spacing
     state = input_state(GRID, **PUMP)
-    idx = np.unravel_index(np.argmax(np.abs(state.amplitude)), state.amplitude.shape)
+    idx = np.unravel_index(np.argmax(np.abs(state)), state.shape)
     assert idx[0] == idx[1]
     assert abs(GRID.values[idx[0]] - 1.0) <= GRID.spacing
 
@@ -50,15 +49,11 @@ def test_input_state_rejects_clipped_pump():
         input_state(FrequencyGrid(0.9, 1.1, 64), omega0=1.0, sigma=0.1)
 
 
-def test_biphoton_state_validates_shape():
-    with pytest.raises(ValueError):
-        BiphotonState(grid=GRID, amplitude=np.zeros((3, 3), dtype=complex))
-
-
 def test_apply_vertex_constant_leaves_entropy_unchanged():
-    state = input_state(GRID, **PUMP)
-    before = schmidt_decompose(state)
-    after = schmidt_decompose(apply_vertex(state, np.full((128, 128), 2.7)))
+    before = schmidt_decompose(input_state(GRID, **PUMP), GRID.spacing)
+    after = schmidt_decompose(
+        output_state(GRID, edge=EDGE, kern=InteractionKernel(2.7, 0.0), **PUMP), GRID.spacing
+    )
     np.testing.assert_allclose(
         after.coefficients[:8], before.coefficients[:8], atol=1e-12
     )
@@ -66,54 +61,40 @@ def test_apply_vertex_constant_leaves_entropy_unchanged():
 
 
 def test_apply_vertex_product_kernel_stays_separable():
-    state = input_state(GRID, **PUMP)
     f = np.exp(-((GRID.values - 1.0) ** 2))
     g = 1.0 + 0.5 * np.cos(GRID.values)
-    out = apply_vertex(state, np.outer(f, g))
-    assert schmidt_decompose(out).entropy_nats < 1e-10
-
-
-def test_apply_vertex_rejects_mismatched_sample():
-    state = input_state(GRID, **PUMP)
-    with pytest.raises(ValueError):
-        apply_vertex(state, np.ones((64, 64)))
+    out = input_state(GRID, **PUMP) * np.outer(f, g)
+    assert schmidt_decompose(out, GRID.spacing).entropy_nats < 1e-10
 
 
 def test_schmidt_two_mode_state_gives_ln2():
     amplitude = np.zeros((128, 128), dtype=complex)
     amplitude[20, 20] = 1.0
     amplitude[90, 90] = 1.0
-    state = BiphotonState(grid=GRID, amplitude=amplitude)
-    spectrum = schmidt_decompose(state)
+    spectrum = schmidt_decompose(amplitude, GRID.spacing)
     np.testing.assert_allclose(spectrum.coefficients[:2], [0.5, 0.5], atol=1e-12)
     assert abs(spectrum.entropy_nats - math.log(2.0)) < 1e-12
     assert abs(spectrum.entropy_bits - 1.0) < 1e-12
 
 
 def test_schmidt_weights_normalized_and_sorted():
-    state = apply_vertex(
-        input_state(GRID, **PUMP),
-        np.exp(-2.0 * (GRID.values[:, None] - GRID.values[None, :]) ** 2),
-    )
-    spectrum = schmidt_decompose(state)
+    kernel = np.exp(-2.0 * (GRID.values[:, None] - GRID.values[None, :]) ** 2)
+    spectrum = schmidt_decompose(input_state(GRID, **PUMP) * kernel, GRID.spacing)
     assert abs(np.sum(spectrum.coefficients) - 1.0) < 1e-10
     assert np.all(np.diff(spectrum.coefficients) <= 1e-15)
 
 
 def test_schmidt_entropy_invariances():
     kernel = np.exp(-1.5 * (GRID.values[:, None] - GRID.values[None, :]) ** 2)
-    state = apply_vertex(input_state(GRID, **PUMP), kernel)
-    base = schmidt_decompose(state).entropy_nats
+    state = input_state(GRID, **PUMP) * kernel
+    base = schmidt_decompose(state, GRID.spacing).entropy_nats
 
-    swapped = BiphotonState(grid=GRID, amplitude=state.amplitude.T.copy())
-    assert abs(schmidt_decompose(swapped).entropy_nats - base) < 1e-12
+    swapped = state.T.copy()
+    assert abs(schmidt_decompose(swapped, GRID.spacing).entropy_nats - base) < 1e-12
 
     phases = np.exp(1j * np.linspace(0.0, 5.0, 128))
-    rotated = BiphotonState(
-        grid=GRID,
-        amplitude=np.exp(0.7j) * phases[:, None] * state.amplitude * phases[None, :] ** 2,
-    )
-    assert abs(schmidt_decompose(rotated).entropy_nats - base) < 1e-10
+    rotated = np.exp(0.7j) * phases[:, None] * state * phases[None, :] ** 2
+    assert abs(schmidt_decompose(rotated, GRID.spacing).entropy_nats - base) < 1e-10
 
 
 def test_edge_momentum_map_clamps_below_threshold():
@@ -157,7 +138,7 @@ def test_scan_rows_decompose_the_output_states():
     rows = entropy_scan([0.0, 2.5], GRID, edge=EDGE, v0=1.0, **PUMP)
     kernels = [InteractionKernel(1.0, zeta) for zeta in (0.0, 2.5)]
     states = [output_state(GRID, edge=EDGE, kern=kern, **PUMP) for kern in kernels]
-    assert rows == [biphoton._scan_row(kern, schmidt_decompose(state))
+    assert rows == [biphoton._scan_row(kern, schmidt_decompose(state, GRID.spacing))
                     for kern, state in zip(kernels, states)]
     with pytest.raises(ValueError):
         output_state(GRID, edge=EDGE, kern=InteractionKernel(1.0, -1.0), **PUMP)
@@ -165,22 +146,19 @@ def test_scan_rows_decompose_the_output_states():
 
 def test_no_function_writes_an_array_of_its_caller():
     """Normalization runs in place, on arrays each function allocated itself;
-    a pump, a kernel or a state the caller holds keeps every byte."""
+    a pump or an output state the caller holds keeps every byte."""
     pump = input_state(GRID, **PUMP)
-    kernel = np.exp(-1.5 * (GRID.values[:, None] - GRID.values[None, :]) ** 2)
-    pump_bytes, kernel_bytes = pump.amplitude.tobytes(), kernel.tobytes()
-    out = apply_vertex(pump, kernel)
-    assert (pump.amplitude.tobytes(), kernel.tobytes()) == (pump_bytes, kernel_bytes)
-    out_bytes = out.amplitude.tobytes()
-    schmidt_decompose(out)
-    schmidt_decompose(pump)
-    assert (out.amplitude.tobytes(), pump.amplitude.tobytes()) == (out_bytes, pump_bytes)
+    pump_bytes = pump.tobytes()
     pair = output_state(GRID, edge=EDGE, kern=InteractionKernel(1.0, 1.5), **PUMP)
-    assert pump.amplitude.tobytes() == pump_bytes
-    assert not np.shares_memory(pair.amplitude, pump.amplitude)
+    assert pump.tobytes() == pump_bytes
+    assert not np.shares_memory(pair, pump)
+    pair_bytes = pair.tobytes()
+    schmidt_decompose(pair, GRID.spacing)
+    schmidt_decompose(pump, GRID.spacing)
+    assert (pair.tobytes(), pump.tobytes()) == (pair_bytes, pump_bytes)
     other = input_state(GRID, omega0=1.05, sigma=0.08)
-    assert other.amplitude.tobytes() != pump_bytes
-    assert pump.amplitude.tobytes() == pump_bytes
+    assert other.tobytes() != pump_bytes
+    assert pump.tobytes() == pump_bytes
 
 
 def test_an_entropy_scan_holds_one_amplitude_at_a_time():

@@ -597,7 +597,7 @@ def test_biphoton_csvs_equal_the_library_output(tmp_path):
     grid, edge = FrequencyGrid(0.6, 1.4, 24), band_edge_params(SshParams(1.0, 0.5))
     out = output_state(grid, 1.0, 0.1, edge, InteractionKernel(1.3, 1.7))
     comment = "# |psi_out|^2 at zeta=1.7 on omega grid start=0.6 stop=1.4 count=24"
-    expected = format_cell_csv(comment, (np.abs(out.amplitude) ** 2).tolist())
+    expected = format_cell_csv(comment, (np.abs(out) ** 2).tolist())
     assert (out_dir / "biphoton_out.csv").read_bytes() == expected
     (row,) = entropy_scan([1.7], grid, 1.0, 0.1, edge, v0=1.3)
     expected = format_cell_csv(
@@ -840,6 +840,24 @@ def test_manifest_schema_of_a_completed_and_a_failed_run(tmp_path):
     assert (manifest["convergence"], manifest["metadata"], manifest["outputs"]) == (
         {"completed": False}, {}, [])
 
+
+@pytest.mark.parametrize("section, changes", [
+    # the pump sits between two nodes of the 256-point grid and underflows at every node
+    ("params", {"omega0": 1.0015, "sigma": 1e-6}),
+    # a vanishing vertex scatters no pair
+    ("kernel", {"v0": 0.0}),
+], ids=["pump-between-nodes", "zero-vertex"])
+def test_a_vanishing_two_photon_amplitude_exits_3_with_no_outputs(tmp_path, section, changes):
+    doc = json.loads(json.dumps(BIPHOTON_DOC))
+    doc["grids"]["omega"]["count"] = 256
+    doc[section].update(changes)
+    code, out_dir = run_cli(tmp_path, doc, "biphoton")
+    assert code == 3
+    manifest = checked_manifest(out_dir, completed=False)
+    assert manifest["error"] == {"type": "ZeroNormError",
+                                 "message": "two-photon amplitude vanishes identically"}
+    assert manifest["outputs"] == []
+    assert os.listdir(out_dir) == ["manifest.json"]
 
 def test_two_runs_of_one_config_write_one_manifest_but_for_the_wall_clock(tmp_path):
     manifests = []

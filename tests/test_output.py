@@ -66,10 +66,11 @@ def test_write_csv_spans_several_write_blocks(tmp_path):
 
 
 def test_write_csv_bool_and_constant_string_columns(tmp_path):
-    """True and False print as 1 and 0; a str column repeats verbatim, % included."""
+    """True and False print as 1 and 0; a text column of one repeated str
+    prints verbatim, % included."""
     path = tmp_path / "spell.csv"
     write_csv(str(path), "x,ok,method,y",
-              ([0.1, math.nan, -0.0], np.array([True, False, True]), "direct 100%",
+              ([0.1, math.nan, -0.0], np.array([True, False, True]), ["direct 100%"] * 3,
                [1.0, 10**20, np.float64(-math.inf)]))
     assert written(path) == (
         b"x,ok,method,y\n"
@@ -114,9 +115,9 @@ def test_write_csv_rejects_a_column_that_is_not_one_dimensional_before_opening(t
 
 def test_write_csv_constant_column_with_percent_spans_blocks(tmp_path):
     path = tmp_path / "percent.csv"
-    step = output._BLOCK_CELLS // 2  # rows per block with two numeric columns
+    step = output._BLOCK_CELLS // 3  # rows per block with three columns
     x = np.arange(2 * step + 3) * 0.1
-    write_csv(str(path), "x,tag,y", (x, "100% %d %%s", -x))
+    write_csv(str(path), "x,tag,y", (x, ["100% %d %%s"] * x.size, -x))
     expected = "x,tag,y\n" + "".join(
         f"{format_cell(v)},100% %d %%s,{format_cell(-v)}\n" for v in x
     )
@@ -127,11 +128,11 @@ def test_write_csv_text_column_prints_verbatim_across_blocks(tmp_path):
     """A list of str prints each cell as given, %, commas of its own and
     spellings "%.17g" would not make included, in every block."""
     path = tmp_path / "text.csv"
-    step = output._BLOCK_CELLS // 3  # rows per block with three varying columns
+    step = output._BLOCK_CELLS // 4  # rows per block with four columns
     x = np.arange(2 * step + 5) * 0.1
     words = ["1.50", "100%", "%s", "-0", "a,b", "1e+00", ""]
     text = [words[i % len(words)] for i in range(x.size)]
-    write_csv(str(path), "x,w,tag,y", (x, text, "const", -x))
+    write_csv(str(path), "x,w,tag,y", (x, text, ["const"] * x.size, -x))
     expected = "x,w,tag,y\n" + "".join(
         f"{format_cell(v)},{t},const,{format_cell(-v)}\n" for v, t in zip(x, text)
     )
@@ -163,7 +164,7 @@ def test_write_csv_memory_does_not_grow_with_the_row_count(tmp_path):
     peaks = []
     for rows in (6_000, 48_000):
         columns = (np.full(rows, 0.1), np.full(rows, -math.pi), np.full(rows, 1e300),
-                   "const %", ["0.5", "2.5"] * (rows // 2))
+                   ["const %"] * rows, ["0.5", "2.5"] * (rows // 2))
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()

@@ -3,14 +3,9 @@ equality by fields, immutability, and a check on every way to build one."""
 
 import pickle
 
-import numpy as np
 import pytest
 
-from cavityssh import (
-    BiphotonState, CavityParams, FrequencyGrid, InteractionKernel, SshParams, ThermalState,
-)
-
-GRID = FrequencyGrid(start=0.0, stop=1.0, count=3)
+from cavityssh import CavityParams, FrequencyGrid, InteractionKernel, SshParams, ThermalState
 
 # record, good fields, one bad field and the message it raises
 CASES = [
@@ -28,8 +23,6 @@ CASES = [
      r"grid needs stop > start, got \[0.0, 0.0\]"),
     (FrequencyGrid, {"start": 0.0, "stop": 1.0, "count": 3}, {"count": 1},
      "grid needs at least 2 samples, got 1"),
-    (BiphotonState, {"grid": GRID, "amplitude": np.ones((3, 3))}, {"amplitude": np.ones(3)},
-     r"amplitude shape \(3,\), expected \(3, 3\)"),
 ]
 IDS = [f"{record.__name__}-{next(iter(bad))}" for record, _, bad, _ in CASES]
 
@@ -46,8 +39,8 @@ def test_every_construction_checks_the_fields(record, good, bad, message):
         record._make({**good, **bad}.values())
 
 
-# each record once; a BiphotonState holds an array, which compares elementwise
-PLAIN = {record: good for record, good, _, _ in CASES if record is not BiphotonState}
+# each record once
+PLAIN = {record: good for record, good, _, _ in CASES}
 
 
 @pytest.mark.parametrize("record, good", PLAIN.items(), ids=[r.__name__ for r in PLAIN])
@@ -70,8 +63,3 @@ def test_replace_keeps_the_record_type_and_other_fields():
     assert moved != cavity
     assert moved == CavityParams(omega_c=2.0, mass_beta=0.5, g=1.0, eta=0.01)
 
-
-def test_biphoton_state_stores_a_complex_amplitude():
-    state = BiphotonState(grid=GRID, amplitude=np.ones((3, 3)))
-    assert state.amplitude.dtype == complex
-    assert state._replace(amplitude=np.eye(3)).amplitude.dtype == complex
