@@ -4,10 +4,14 @@ The emitted pair amplitude is the vertex sampled on a frequency grid times a
 separable Gaussian pump, psi_out = Gamma(omega1, omega2) phi(omega1) phi(omega2).
 The vertex is the interaction kernel of `vertex` evaluated on the band-edge
 momenta q*(omega) of `lattice.edge_momentum_map`.
-An amplitude is a plain complex (n, n) array on grid x grid, normalized to
-unit L2 measure. Schmidt modes come from its SVD with the grid measure
-absorbed, so coefficients and entropies are resolution-independent. Every
-output state is an `output_state`, and every Schmidt row an `entropy_scan` row.
+An amplitude is a plain real float64 (n, n) array on grid x grid,
+normalized to unit L2 measure: the pump and the kernel are real, so the
+product is too, at half the bytes of a complex one. Schmidt modes come from
+its SVD with the grid measure absorbed, so coefficients and entropies are
+resolution-independent. Only the scaled matrix handed to LAPACK is complex,
+so the weights are `zgesdd`'s bytes; `dgesdd` on the real matrix rounds
+differently. Every output state is an `output_state`, and every Schmidt row
+an `entropy_scan` row.
 
 No function writes an array its caller passed in. Each lets go of its
 arguments once it has what it needs from them, so a caller that passes
@@ -50,18 +54,23 @@ class EntropyScanRow(NamedTuple):
 
 
 def _normalize(amplitude: np.ndarray, spacing: float) -> np.ndarray:
-    """Divide `amplitude`, which the caller allocated, in place by its norm
-    on the grid measure; returns it."""
+    """Scale `amplitude`, which the caller allocated, in place by the
+    reciprocal of its norm on the grid measure; returns it.
+
+    It multiplies by the reciprocal because the pinned amplitudes are numpy's
+    complex array divided by a real scalar, which rounds as a * (1/x); a
+    float division rounds differently.
+    """
     norm_sq = float(pairwise_sum(np.abs(amplitude.ravel()) ** 2)) * spacing**2
     if norm_sq < 1e-280:
         raise ZeroNormError("two-photon amplitude vanishes identically")
-    amplitude /= np.sqrt(norm_sq)
+    amplitude *= 1.0 / np.sqrt(norm_sq)
     return amplitude
 
 
 def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> np.ndarray:
     """Separable Gaussian pair phi(omega1) phi(omega2), phi ~ exp(-(w-w0)^2/(2 s^2)),
-    normalized on grid x grid.
+    normalized on grid x grid, as a real float64 array.
 
     The grid must span omega0 +- 4 sigma so the pump tails are resolved.
     """
@@ -77,7 +86,7 @@ def input_state(grid: FrequencyGrid, omega0: float, sigma: float) -> np.ndarray:
             f"{omega0 + PUMP_SPAN_SIGMAS * sigma}]"
         )
     phi = np.exp(-((grid.values - omega0) ** 2) / (2.0 * sigma**2))
-    amplitude = np.outer(phi, phi).astype(complex)
+    amplitude = np.outer(phi, phi)
     return _normalize(amplitude, grid.spacing)
 
 
@@ -87,10 +96,12 @@ def schmidt_decompose(amplitude: np.ndarray, spacing: float) -> SchmidtSpectrum:
 
     The spacing is absorbed into the matrix (amplitude * d omega), making
     the weights invariant under grid refinement. Entropy uses 0 ln 0 = 0.
-    The amplitude is let go once the scaled matrix is formed, so one passed
-    as a temporary is freed before the SVD.
+    The matrix is complex128 whatever the amplitude's type, so a real
+    amplitude gets the weights of its complex cast bit for bit. The amplitude
+    is let go once the scaled matrix is formed, so one passed as a temporary
+    is freed before the SVD.
     """
-    matrix = amplitude * spacing
+    matrix = np.multiply(amplitude, spacing, dtype=complex)
     del amplitude
     singular = svd_singular_values(matrix)
     weights = singular**2
@@ -133,12 +144,14 @@ def entropy_scan(
     Each row fits ln(lambda_n) of its leading four weights linearly in n and
     reports the ratio exp(slope) and its R^2. Each row maps q*(omega) afresh
     and builds its pump, kernel and output state as temporaries, so none of
-    them is held through the SVD.
+    them is held through the SVD. The fits run after the last decomposition:
+    the first least-squares call maps LAPACK's pages, which no later SVD
+    should sit on.
     """
     kernels = [InteractionKernel(v0, zeta) for zeta in zeta_values]
-    return [_scan_row(kern, schmidt_decompose(output_state(grid, omega0, sigma, edge, kern),
-                                              grid.spacing))
-            for kern in kernels]
+    spectra = [schmidt_decompose(output_state(grid, omega0, sigma, edge, kern), grid.spacing)
+               for kern in kernels]
+    return [_scan_row(kern, spectrum) for kern, spectrum in zip(kernels, spectra)]
 
 
 def _scan_row(kern: InteractionKernel, spectrum: SchmidtSpectrum) -> EntropyScanRow:

@@ -3,12 +3,14 @@
 Most map the config onto one library call; `bands` masks the gapless points
 of four lattice calls, `saddle` evaluates the vertex on the square of its
 grid at or above the band edge, `biphoton` is a one-zeta scan beside its two
-densities, and `kerr-scan` turns the scan's rows into columns. A handler
-returns (emissions, flags, metadata): each emission is a file name, its first
-line and its columns for `output.write_csv`; the flags are its own
-convergence flags, beside which `cli` states completion. Importing this
-module loads numpy and every numerical module, so `cli.main` imports it only
-once the config is valid.
+densities, and `kerr-scan` turns the scan's rows into columns. `biphoton`
+takes the scan first, then |psi_out|^2, then |psi_in|^2, the order in which
+its child peaks lowest; its files keep their order. A handler returns
+(emissions, flags, metadata): each emission is a file name, its first line
+and its columns for `output.write_csv`; the flags are its own convergence
+flags, beside which `cli` states completion. Importing this module loads
+numpy and every numerical module, so `cli.main` imports it only once the
+config is valid.
 """
 
 from __future__ import annotations
@@ -158,9 +160,9 @@ def _scan_columns(rows):
 def _run_biphoton(cfg: RunConfig, log):
     grid, omega0, sigma = cfg.omega_grid, cfg.params["omega0"], cfg.params["sigma"]
     edge, kern = band_edge_params(cfg.model), cfg.kernel
-    density_in = np.abs(input_state(grid, omega0, sigma)) ** 2
-    density_out = np.abs(output_state(grid, omega0, sigma, edge, kern)) ** 2
     scan = entropy_scan([kern.zeta], grid, omega0, sigma, edge, v0=kern.v0)
+    density_out = np.abs(output_state(grid, omega0, sigma, edge, kern)) ** 2
+    density_in = np.abs(input_state(grid, omega0, sigma)) ** 2
     describe = f"omega grid start={grid.start} stop={grid.stop} count={grid.count}"
     # a matrix is written row by row, so its columns are the rows of its transpose
     emissions = [

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityssh import biphoton
 from cavityssh import (
@@ -12,11 +14,13 @@ from cavityssh import (
     GridTooNarrowError,
     InteractionKernel,
     SshParams,
+    ZeroNormError,
     band_edge_params,
     edge_momentum_map,
     entropy_scan,
     input_state,
     output_state,
+    pairwise_sum,
     schmidt_decompose,
 )
 
@@ -29,7 +33,7 @@ PUMP = dict(omega0=1.0, sigma=0.1)
 
 def test_input_state_is_normalized_and_separable():
     state = input_state(GRID, **PUMP)
-    assert state.shape == (128, 128) and state.dtype == complex
+    assert state.shape == (128, 128) and state.dtype == np.float64
     weight = np.sum(np.abs(state) ** 2) * GRID.spacing**2
     assert abs(weight - 1.0) < 1e-10
     assert schmidt_decompose(state, GRID.spacing).entropy_nats < 1e-10
@@ -49,7 +53,7 @@ def test_input_state_rejects_clipped_pump():
         input_state(FrequencyGrid(0.9, 1.1, 64), omega0=1.0, sigma=0.1)
 
 
-def test_apply_vertex_constant_leaves_entropy_unchanged():
+def test_a_constant_kernel_leaves_entropy_unchanged():
     before = schmidt_decompose(input_state(GRID, **PUMP), GRID.spacing)
     after = schmidt_decompose(
         output_state(GRID, edge=EDGE, kern=InteractionKernel(2.7, 0.0), **PUMP), GRID.spacing
@@ -60,7 +64,7 @@ def test_apply_vertex_constant_leaves_entropy_unchanged():
     assert abs(after.entropy_nats - before.entropy_nats) < 1e-12
 
 
-def test_apply_vertex_product_kernel_stays_separable():
+def test_a_product_kernel_stays_separable():
     f = np.exp(-((GRID.values - 1.0) ** 2))
     g = 1.0 + 0.5 * np.cos(GRID.values)
     out = input_state(GRID, **PUMP) * np.outer(f, g)
@@ -159,6 +163,57 @@ def test_no_function_writes_an_array_of_its_caller():
     other = input_state(GRID, omega0=1.05, sigma=0.08)
     assert other.tobytes() != pump_bytes
     assert pump.tobytes() == pump_bytes
+
+
+def test_a_real_amplitude_decomposes_as_its_complex_cast_bit_for_bit(monkeypatch):
+    """The amplitude stays float64 up to the SVD, and the matrix handed to
+    LAPACK is complex128, so the weights are `zgesdd`'s, as they were when
+    the amplitude was complex throughout. A float matrix would reach `dgesdd`,
+    whose singular values differ in the last bits. The fig5c grid at zeta = 1."""
+    grid = FrequencyGrid(0.6, 1.4, 256)
+    state = output_state(grid, 1.0, 0.1, band_edge_params(SshParams(1.0, 0.5)),
+                         InteractionKernel(1.0, 1.0))
+    assert state.dtype == np.float64
+    handed, decompose = [], biphoton.svd_singular_values
+
+    def spy(matrix):
+        handed.append(matrix.dtype)
+        return decompose(matrix)
+
+    monkeypatch.setattr(biphoton, "svd_singular_values", spy)
+    real = schmidt_decompose(state, grid.spacing)
+    cast = schmidt_decompose(state.astype(complex), grid.spacing)
+    assert handed == [np.dtype(complex), np.dtype(complex)]
+    assert real.coefficients.tobytes() == cast.coefficients.tobytes()
+    assert np.array([real.entropy_nats, real.entropy_bits]).tobytes() == \
+        np.array([cast.entropy_nats, cast.entropy_bits]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([2, 3, 17, 64, 255]), spacing=st.floats(1e-3, 1.0),
+       exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+       seed=st.integers(0, 2**32 - 1))
+def test_normalize_by_the_reciprocal_is_the_old_complex_division(n, spacing, exponents, seed):
+    """`_normalize` multiplies a float amplitude by 1/norm. numpy divides a
+    complex array by a real scalar as a * (1/x), so this is word for word the
+    real part of the complex division that wrote the pinned densities, whose
+    imaginary part is +0.0; a float `/=` would round differently. Magnitudes
+    span 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    low, high = sorted(exponents)
+    amplitude = (rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(1.0, 10.0, (n, n))
+                 * 10.0 ** rng.integers(low, high + 1, (n, n)).astype(float))
+    old = amplitude.astype(complex)
+    norm_sq = float(pairwise_sum(np.abs(old.ravel()) ** 2)) * spacing**2
+    if norm_sq < 1e-280:
+        with pytest.raises(ZeroNormError):
+            biphoton._normalize(amplitude.copy(), spacing)
+        return
+    old = old / np.sqrt(norm_sq)
+    new = biphoton._normalize(amplitude.copy(), spacing)
+    assert new.dtype == np.float64
+    assert np.array_equal(new.view(np.int64), old.real.view(np.int64))
+    assert np.array_equal(old.imag.view(np.int64), np.zeros((n, n), dtype=np.int64))
 
 
 def test_an_entropy_scan_holds_one_amplitude_at_a_time():

@@ -164,14 +164,16 @@ def test_a_kerr_scan_child_holds_under_eight_and_a_half_mib_over_numpy(tmp_path)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_the_schmidt_children_hold_under_nine_and_a_half_mib_over_numpy(tmp_path):
+def test_the_schmidt_children_hold_under_nine_mib_over_numpy(tmp_path):
     """The seed-0 fig5c `schmidt-scan` and `biphoton` children each peak at
-    most 9.5 MiB above a child that only imports numpy. Each builds its pump,
-    kernel and output state as temporaries and lets each go once the next
-    step has what it needs, so no pump or kernel is held through an SVD.
-    Measured on a 2-vCPU x86-64 host with numpy 2.4.6: 8.4-8.6 MiB for
-    either, where holding the pump and the kernel through every SVD read
-    10.5-10.6 (fig5c) and 9.9-10.1 MiB (biphoton)."""
+    most 9.0 MiB above a child that only imports numpy. Each builds its pump,
+    kernel and output state as real temporaries and lets each go once the
+    next step has what it needs, so no pump or kernel is held through an SVD,
+    and the only complex matrix is the one handed to LAPACK. The geometric
+    fits run after the last SVD. Measured on a 2-vCPU x86-64 host with numpy
+    2.4.6, over a 26.8 MiB numpy child: 7.3 MiB (fig5c) and 7.8 MiB
+    (biphoton). Complex amplitudes read 8.5 and 8.1 MiB, and holding the
+    pump and the kernel through every SVD 10.5-10.6 and 9.9-10.1 MiB."""
     runs = {name: config for name, config in seed0_configs()
             if name in ("schmidt-scan", "biphoton")}
     assert sorted(runs) == ["biphoton", "schmidt-scan"]
@@ -187,4 +189,4 @@ def test_the_schmidt_children_hold_under_nine_and_a_half_mib_over_numpy(tmp_path
     assert [code_pass, code_numpy, *(code for code, _ in children)] == [0, 0, 0, 0]
     assert numpy_peak > floor
     over = {command: (peak - numpy_peak) / 1024 for command, (_, peak) in zip(runs, children)}
-    assert max(over.values()) <= 9.5, over
+    assert max(over.values()) <= 9.0, over
